@@ -4,7 +4,9 @@ Every computation is exact: all numeric output is integers or fractions
 rendered as num/den, never floating point.  Exit codes: 0 success, 1 usage
 error, 2 mathematical error (singular curve, non-integer genus, unsupported
 factorization), 3 when `audit` finds any inconsistent signature claim (so a
-CI run can pin the known discrepancies via an expected-verdicts file).
+CI run can pin the known discrepancies via an expected-verdicts file), and
+141, as for a process killed by SIGPIPE, when the reader of stdout closes
+it early.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from . import covers, elliptic, heisenberg, quadfield, words
 USAGE_ERROR = 1
 MATH_ERROR = 2
 AUDIT_INCONSISTENT = 3
+BROKEN_PIPE = 141  # 128 + SIGPIPE, the status of a process killed by it
 
 
 class CliError(Exception):
@@ -333,6 +336,7 @@ _MATH_ERRORS = (
     elliptic.SingularCurve,
     elliptic.PointNotOnCurve,
     elliptic.BadKernelPoint,
+    elliptic.NoUniqueJZeroCodomain,
     quadfield.NotASquare,
     quadfield.UnsupportedFactorization,
     heisenberg.EnumerationBoundExceeded,
@@ -357,7 +361,15 @@ def main(argv=None):
 
 
 def entry():
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed the pipe early (e.g. `| head`).  Point stdout at
+        # /dev/null so the interpreter's final flush does not fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = BROKEN_PIPE
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -49,6 +49,17 @@ class BadKernelPoint(ValueError):
     """Isogeny kernel generator is not an affine point of order 3."""
 
 
+class NoUniqueJZeroCodomain(ArithmeticError):
+    """The isogeny table over Q(sqrt d) does not have exactly one j = 0 row."""
+
+    def __init__(self, d, j_zero_rows):
+        super().__init__(
+            "over Q(sqrt(%d)) the isogeny table has %d rows with j = 0, "
+            "expected exactly one" % (d, j_zero_rows))
+        self.d = d
+        self.j_zero_rows = j_zero_rows
+
+
 @dataclass(frozen=True)
 class Curve:
     """y^2 = x^3 + Ax + B over Q(sqrt d)."""
@@ -527,6 +538,6 @@ def derive_isogenous_curves(d=DEFAULT_D):
     )
     selected = [r for r in rows if r.j.is_zero()]
     if len(selected) != 1:
-        raise AssertionError("expected exactly one isogenous curve with j = 0")
+        raise NoUniqueJZeroCodomain(d, len(selected))
     return DerivationReport(base, tuple(rows), classifications,
                             selected[0].codomain)

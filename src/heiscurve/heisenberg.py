@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
+from math import gcd
 
 DEFAULT_ENUMERATION_BOUND = 16
 
@@ -101,18 +102,17 @@ class HeisenbergElement:
         return self.x == 0 and self.y == 0
 
     def order(self):
-        """Smallest v >= 1 with g^v = 1.
+        """Smallest v >= 1 with g^v = 1, in closed form.
 
-        The order always divides n^2 (the image in (Z/n)^2 has order
-        dividing n, and central elements have order dividing n), so the
-        scan below terminates quickly.
+        g^v lies in the center exactly when n divides v*x and v*y, i.e. when
+        m = n / gcd(n, x, y) divides v.  By the power law g^m is the central
+        element (0, 0, c) with c = m*z + m*(m-1)/2 * x*y, whose order is
+        n / gcd(n, c).  Hence order = m * n / gcd(n, c), which divides n^2.
         """
-        acc = self
-        for v in range(1, self.n * self.n + 1):
-            if acc.is_identity():
-                return v
-            acc = acc * self
-        raise AssertionError("unreachable: order exceeds n^2")
+        n = self.n
+        m = n // gcd(n, self.x, self.y)
+        c = m * self.z + (m * (m - 1) // 2) * self.x * self.y
+        return m * (n // gcd(n, c))
 
     def abelianize(self):
         """Image in the abelianization (Z/n)^2; kills exactly the center."""

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -161,6 +165,13 @@ class TestC3:
         assert code == 0
         assert "11664" in out and "-109296" in out
 
+    @pytest.mark.parametrize("d", ("-1", "-7"))
+    def test_field_without_j_zero_row_is_math_error(self, capsys, d):
+        code, out, err = run(capsys, "c3", "--d", d)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("math error: ") and "Q(sqrt(%s))" % d in err
+
 
 class TestCurveCommands:
     def test_j(self, capsys):
@@ -217,3 +228,22 @@ class TestParsing:
     def test_missing_required_flag(self, capsys):
         code, _, err = run(capsys, "genus")
         assert code == 1
+
+
+class TestEntry:
+    def test_reader_closing_pipe_early(self):
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, (src, env.get("PYTHONPATH"))))
+        # 20^3 lines, about 150 kB: more than a pipe buffer holds
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "heiscurve.cli", "group", "--n", "20",
+             "--op", "enumerate", "--bound", "20"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        assert proc.stdout.readline() == b"(0, 0, 0) mod 20\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 141
+        assert err == b""

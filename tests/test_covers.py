@@ -1,8 +1,10 @@
 import json
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
+from heiscurve import covers
 from heiscurve.covers import (
     CoverRamification,
     FermatAutGroup,
@@ -17,6 +19,7 @@ from heiscurve.covers import (
     cover_ramification,
     fermat_genus,
     heisenberg_genus,
+    is_fixed_by,
     m_bound,
     modular_aut_order,
     orbit_size,
@@ -91,7 +94,59 @@ class TestGenusFormulas:
         ) == heisenberg_genus(n)
 
 
+# Oracle: shift the point's exponent vector by every (a, b) in (Z/n)^2 and
+# compare the results up to projective rescaling.  Exponents are doubled to
+# integers mod 2n, since they are multiples of 1/2.
+
+def normalize_exponents(exps, modulus):
+    pivot = next(e for e in exps if e is not None)
+    return tuple(None if e is None else (e - pivot) % modulus for e in exps)
+
+
+def stabilizer_and_orbit_scan(point, n):
+    """(stabilizer as a set of shifts, orbit size)."""
+    exps = tuple(None if e is None else int(2 * e) for e in point.exponents())
+    images = {
+        (a, b): normalize_exponents(
+            tuple(None if e is None else e + s
+                  for e, s in zip(exps, (2 * a, 2 * b, 0))), 2 * n)
+        for a, b in product(range(n), repeat=2)
+    }
+    base = normalize_exponents(exps, 2 * n)
+    stabilizer = {shift for shift, image in images.items() if image == base}
+    return stabilizer, len(set(images.values()))
+
+
+def generator_scan(subgroup, n):
+    """The least (a, b) != (0, 0) whose multiples are the whole subgroup."""
+    for a, b in sorted(subgroup - {(0, 0)}):
+        if {((k * a) % n, (k * b) % n) for k in range(n)} == subgroup:
+            return (a, b)
+    assert n == 1
+    return (0, 0)
+
+
 class TestStabilizers:
+    @pytest.mark.parametrize("family", ("P", "Q", "Qprime"))
+    def test_matches_scan(self, family):
+        for n in range(1, 17):
+            for k in range(n):
+                point = PointClass(family, k)
+                stab, orbit = stabilizer_and_orbit_scan(point, n)
+                assert stabilizer_subgroup(point, n) == stab
+                assert stabilizer_generator(point, n) == generator_scan(stab, n)
+                assert orbit_size(point, n) == orbit
+                for a, b in product(range(-1, n + 1), repeat=2):
+                    assert is_fixed_by(point, a, b, n) == ((a % n, b % n) in stab)
+
+    def test_modulus_below_one_rejected(self):
+        point = PointClass("P", 0)
+        for fn in (stabilizer_subgroup, stabilizer_generator, orbit_size):
+            with pytest.raises(ValueError):
+                fn(point, 0)
+        with pytest.raises(ValueError):
+            is_fixed_by(point, 0, 0, 0)
+
     @pytest.mark.parametrize(
         "family,generator",
         [("P", (0, 1)), ("Q", (1, 0)), ("Qprime", (1, 1))],
@@ -220,13 +275,74 @@ class TestBounds:
             b3(5)
 
 
+def exhaustive_axiom_check(group):
+    """Oracle: closure, identity, inverses and associativity over the whole
+    multiplication table, |G|^3 lookups.  Raises AssertionError."""
+    elems = group.elements()
+    if len(set(elems)) != group.order:
+        raise AssertionError("element list has duplicates")
+    index = {g: i for i, g in enumerate(elems)}
+    e_idx = index[group.identity()]
+    table = []
+    for g in elems:
+        row = []
+        for h in elems:
+            gh = group.multiply(g, h)
+            if gh not in index:
+                raise AssertionError("not closed under multiplication")
+            row.append(index[gh])
+        table.append(row)
+    for i, g in enumerate(elems):
+        if table[i][e_idx] != i or table[e_idx][i] != i:
+            raise AssertionError("identity fails")
+        if table[i][index[group.inverse(g)]] != e_idx:
+            raise AssertionError("inverse fails")
+    size = len(elems)
+    for i in range(size):
+        row_i = table[i]
+        for j in range(size):
+            row_ij = table[row_i[j]]
+            row_j = table[j]
+            for k in range(size):
+                if row_ij[k] != row_i[row_j[k]]:
+                    raise AssertionError("associativity fails")
+    return True
+
+
+def _translate_first_coordinate(perm, pair, n):
+    """Not linear: adds 1 to i whatever the symmetry."""
+    return ((pair[0] + 1) % n, pair[1] % n)
+
+
+def _swap_xy_acts_trivially(perm, pair, n, action=covers.symmetry_action):
+    """Linear for each symmetry, but not a homomorphism from S3.  The real
+    action is bound as a default argument, before the patch replaces it."""
+    if perm == (1, 0, 2):
+        return (pair[0] % n, pair[1] % n)
+    return action(perm, pair, n)
+
+
 class TestFermatAutGroup:
     def test_order(self):
         assert build_fermat_aut(4, verify=False).order == 96
 
     @pytest.mark.parametrize("n", (3, 4, 5))
     def test_axioms_exhaustive(self, n):
-        assert build_fermat_aut(n).verify_axioms()
+        group = build_fermat_aut(n, verify=False)
+        assert exhaustive_axiom_check(group)
+        assert group.verify_axioms()
+
+    @pytest.mark.parametrize(
+        "action", (_translate_first_coordinate, _swap_xy_acts_trivially))
+    def test_broken_action_fails_both_checks(self, monkeypatch, action):
+        monkeypatch.setattr(covers, "symmetry_action", action)
+        group = FermatAutGroup(3)
+        with pytest.raises(AssertionError):
+            exhaustive_axiom_check(group)
+        with pytest.raises(AssertionError):
+            group.verify_axioms()
+        with pytest.raises(AssertionError):
+            build_fermat_aut(3)
 
     def test_conjugation_matrices(self):
         n = 5

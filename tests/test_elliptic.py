@@ -7,6 +7,7 @@ from heiscurve.elliptic import (
     BadKernelPoint,
     Cubic,
     Curve,
+    NoUniqueJZeroCodomain,
     PointNotOnCurve,
     SingularCurve,
     aut0_order,
@@ -309,3 +310,10 @@ class TestDerivation:
     def test_text_table_mentions_every_j(self):
         text = derive_isogenous_curves().to_text()
         assert "11664" in text and "-12288000" in text
+
+    @pytest.mark.parametrize("d", (-1, -7))
+    def test_no_j_zero_row_outside_q_sqrt_minus_3(self, d):
+        with pytest.raises(NoUniqueJZeroCodomain) as info:
+            derive_isogenous_curves(d)
+        assert isinstance(info.value, ArithmeticError)
+        assert (info.value.d, info.value.j_zero_rows) == (d, 0)

@@ -31,6 +31,16 @@ def repeated_mul(g, v):
     return acc
 
 
+def order_by_repeated_mul(g):
+    """Oracle: the first v >= 1 with g^v = 1, by repeated multiplication."""
+    acc = g
+    for v in range(1, g.n * g.n + 1):
+        if acc.is_identity():
+            return v
+        acc = acc * g
+    raise AssertionError("order exceeds n^2")
+
+
 small_n = st.integers(min_value=1, max_value=8)
 
 
@@ -121,7 +131,31 @@ class TestPow:
         assert g**-v == (g**v).inverse()
 
 
+@st.composite
+def mixed_parity_elements(draw):
+    """Even n, with the parities of x and y drawn independently: there the
+    halved corner term m(m-1)/2 * x*y of the closed form can double the
+    order, as it does for (1, 1, 0)."""
+    n = 2 * draw(st.integers(1, 32))
+    x, y = (2 * draw(st.integers(0, n // 2 - 1)) + draw(st.integers(0, 1))
+            for _ in range(2))
+    return HeisenbergElement(n, x, y, draw(st.integers(0, n - 1)))
+
+
 class TestOrder:
+    def test_matches_repeated_mul_exhaustively(self):
+        for n in range(1, 13):
+            for g in enumerate_group(n):
+                assert g.order() == order_by_repeated_mul(g)
+
+    @given(st.integers(1, 64).flatmap(elements))
+    def test_matches_repeated_mul_up_to_64(self, g):
+        assert g.order() == order_by_repeated_mul(g)
+
+    @given(mixed_parity_elements())
+    def test_matches_repeated_mul_mixed_parity(self, g):
+        assert g.order() == order_by_repeated_mul(g)
+
     def test_golden_orders(self):
         assert HeisenbergElement(4, 1, 1, 0).order() == 8
         assert HeisenbergElement(5, 1, 0, 0).order() == 5

@@ -153,7 +153,23 @@ class TestEndomorphisms:
         assert len(set(images.values())) == 6
 
 
+def lifts_by_word_expansion(endo, n):
+    """Oracle: expand the image of each kernel generator a^n, b^n, [a,b]^n
+    as a word and evaluate it in H_n."""
+    return all(
+        in_heisenberg_kernel(endo.apply(w), n)
+        for w in heisenberg_kernel_generators(n)
+    )
+
+
 class TestLifting:
+    @pytest.mark.parametrize("name", sorted(S3_ENDOS))
+    def test_matches_word_expansion(self, name):
+        endo = S3_ENDOS[name]
+        for n in range(1, 41):
+            expected = lifts_by_word_expansion(endo, n)
+            assert lifts_to_heisenberg_cover(endo, n) == expected
+
     @pytest.mark.parametrize("n", range(2, 13))
     def test_swap_always_lifts(self, n):
         assert lifts_to_heisenberg_cover(S3_ENDOS["i1"], n)

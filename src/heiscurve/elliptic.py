@@ -33,6 +33,7 @@ from .quadfield import (
     NotASquare,
     QuadNum,
     find_field_roots,
+    poly_eval,
     zeta3,
 )
 
@@ -216,11 +217,7 @@ def three_torsion(curve):
 def _check_order_3(curve, p):
     if p.at_infinity:
         raise BadKernelPoint("kernel generator must be affine")
-    psi = division_poly_3(curve)
-    value = QuadNum.of(0, curve.d)
-    for c in reversed(psi):
-        value = value * p.x + c
-    if not value.is_zero():
+    if not poly_eval(division_poly_3(curve), p.x).is_zero():
         raise BadKernelPoint("%s is not a 3-torsion point" % (p,))
 
 
@@ -275,26 +272,24 @@ class Classification:
         return out
 
 
+def _cube_roots(value):
+    """Solutions g of g^3 = value inside the field."""
+    zero = QuadNum.of(0, value.d)
+    roots, _ = find_field_roots([-value, zero, zero, QuadNum.of(1, value.d)],
+                                value.d)
+    return roots
+
+
 def _sixth_roots(value):
     """Solutions u of u^6 = value inside the field."""
     out = []
-    cubes, _ = find_field_roots(
-        [-value, QuadNum.of(0, value.d), QuadNum.of(0, value.d),
-         QuadNum.of(1, value.d)], value.d)
-    for g in cubes:
+    for g in _cube_roots(value):
         try:
             u = g.sqrt()
         except NotASquare:
             continue
         out.extend([u, -u])
     return out
-
-
-def _cube_roots(value):
-    roots, _ = find_field_roots(
-        [-value, QuadNum.of(0, value.d), QuadNum.of(0, value.d),
-         QuadNum.of(1, value.d)], value.d)
-    return roots
 
 
 def classify_pair(e1, e2):

@@ -7,10 +7,10 @@ square-root case analysis below relies on the norm p^2 - d q^2 being a sum
 of positive terms.
 
 Also provides root finding for polynomials of degree <= 4 with coefficients
-in the field, by rational-root search plus explicit quadratic-formula
-solving; rational quartics without linear factors go through the resolvent
-cubic.  Quartics that do not split into factors of degree <= 2 over the
-field raise UnsupportedFactorization.
+in the field, by a p-adic rational-root search (Hensel lifting) plus
+explicit quadratic-formula solving; rational quartics without linear
+factors go through the resolvent cubic.  Quartics that do not split into
+factors of degree <= 2 over the field raise UnsupportedFactorization.
 """
 
 from __future__ import annotations
@@ -273,58 +273,120 @@ def poly_deflate(coeffs, root):
     return quotient
 
 
-def _divisors(m):
-    m = abs(m)
-    small, large = [], []
-    k = 1
-    while k * k <= m:
-        if m % k == 0:
-            small.append(k)
-            if k != m // k:
-                large.append(m // k)
-        k += 1
-    return small + large[::-1]
+def _eval_mod(f, x, m):
+    """f(x) mod m for an integer polynomial f."""
+    acc = 0
+    for c in reversed(f):
+        acc = (acc * x + c) % m
+    return acc
 
 
-def _rational_root_candidates(coeffs):
-    """Rational-root-theorem candidates for a rational-coefficient poly."""
-    fracs = [c.p for c in coeffs]
+def _primitive(f):
+    """f divided by its content, with a positive leading coefficient."""
+    g = gcd(*f)
+    if f[-1] < 0:
+        g = -g
+    return [c // g for c in f]
+
+
+def _prem(a, b):
+    """Pseudo-remainder of the integer polynomial a by b."""
+    a = list(a)
+    lead = b[-1]
+    while len(a) >= len(b):
+        top, shift = a[-1], len(a) - len(b)
+        a = [lead * c for c in a]
+        for i, c in enumerate(b):
+            a[shift + i] -= top * c
+        while a and a[-1] == 0:
+            a.pop()
+    return a
+
+
+def _exact_quotient(f, g):
+    """f / g for integer polynomials where g is primitive and divides f."""
+    f = list(f)
+    quotient = [0] * (len(f) - len(g) + 1)
+    for shift in reversed(range(len(quotient))):
+        c = f[shift + len(g) - 1] // g[-1]
+        quotient[shift] = c
+        for i, gc in enumerate(g):
+            f[shift + i] -= c * gc
+    return quotient
+
+
+def _squarefree_part(f):
+    """f / gcd(f, f') for a primitive integer polynomial of degree >= 1."""
+    a, b = f, _primitive([i * c for i, c in enumerate(f)][1:])
+    while len(b) > 1:
+        r = _prem(a, b)
+        a, b = b, (_primitive(r) if r else [])
+    if len(b) == 1:  # a nonzero constant remainder: gcd is 1
+        return f
+    return _primitive(_exact_quotient(f, a))
+
+
+def _odd_primes():
+    p = 3
+    while True:
+        if all(p % k for k in range(3, isqrt(p) + 1, 2)):
+            yield p
+        p += 2
+
+
+def _rational_roots(coeffs):
+    """The distinct nonzero rational roots of a polynomial with rational
+    coefficients, ordered by |numerator|, then denominator, positive first.
+
+    Roots are found p-adically: take the squarefree part f of the integer
+    polynomial, pick the smallest odd prime p not dividing lead(f) at which
+    every root of f mod p is simple, and Newton-lift each root mod p until
+    p^k > 2 |lead(f) f(0)|.  A rational root n/m has m | lead(f) and
+    n | f(0), so lead(f) n/m is the symmetric residue of lead(f) x mod p^k.
+    Every candidate is verified exactly.
+
+    Simple roots mod p are what the lifting needs; f mod p being squarefree
+    implies it, and holds for all p outside the finitely many dividing
+    disc(f), so the prime search ends.  Without the squarefree part it
+    would not: a repeated rational root is a repeated root mod every p.
+    """
+    fracs = [Fraction(c) for c in coeffs]
     lcm = 1
-    for f in fracs:
-        lcm = lcm * f.denominator // gcd(lcm, f.denominator)
-    ints = [int(f * lcm) for f in fracs]
-    a0 = next((c for c in ints if c != 0), 0)
-    lead = ints[-1]
-    if a0 == 0 or lead == 0:
+    for c in fracs:
+        lcm = lcm * c.denominator // gcd(lcm, c.denominator)
+    f = [int(c * lcm) for c in fracs]
+    while f and f[-1] == 0:
+        f.pop()
+    while f and f[0] == 0:
+        f.pop(0)
+    if len(f) < 2:
         return []
-    for num in _divisors(a0):
-        for den in _divisors(lead):
-            yield Fraction(num, den)
-            yield Fraction(-num, den)
-
-
-def _find_linear_root(coeffs, d):
-    """A root of the polynomial lying in the field, found via rational
-    candidates (a rational root must be a common root of the rational and
-    sqrt(d) parts of the coefficient list)."""
-    rational_part = [c.p for c in coeffs]
-    radical_part = [c.q for c in coeffs]
-    probe = coeffs if all(q == 0 for q in radical_part) else None
-    if probe is None:
-        # mixed coefficients: candidates from whichever part is nonzero
-        base = rational_part if any(rational_part) else radical_part
-        base_poly = [QuadNum.of(c, d) for c in base]
-    else:
-        base_poly = coeffs
-    seen = set()
-    for cand in _rational_root_candidates(base_poly):
-        if cand in seen:
+    f = _squarefree_part(_primitive(f))
+    df = [i * c for i, c in enumerate(f)][1:]
+    lead = f[-1]
+    for p in _odd_primes():
+        if lead % p == 0:
             continue
-        seen.add(cand)
-        x = QuadNum.of(cand, d)
-        if poly_eval(coeffs, x).is_zero():
-            return x
-    return None
+        residues = [a for a in range(p) if _eval_mod(f, a, p) == 0]
+        if all(_eval_mod(df, a, p) for a in residues):
+            break
+    bound = 2 * abs(lead * f[0])
+    roots = []
+    for x in residues:
+        modulus = p
+        while modulus <= bound:
+            modulus *= modulus
+            x = (x - _eval_mod(f, x, modulus)
+                 * pow(_eval_mod(df, x, modulus), -1, modulus)) % modulus
+        s = lead * x % modulus
+        if 2 * s > modulus:
+            s -= modulus
+        root = Fraction(s, lead)
+        n, m = root.numerator, root.denominator
+        # m^deg f(n/m) == 0, in integers
+        if sum(c * n**i * m**(len(f) - 1 - i) for i, c in enumerate(f)) == 0:
+            roots.append(root)
+    return sorted(roots, key=lambda r: (abs(r.numerator), r.denominator, r < 0))
 
 
 def _solve_quadratic(coeffs, d):
@@ -358,11 +420,10 @@ def _split_rational_quartic(coeffs, d):
             pairs.append((QuadNum.of(0, d), -t))  # y^2 - t
         quadratics = [[c, b, QuadNum.of(1, d)] for b, c in pairs]
     else:
-        resolvent = [QuadNum.of(-q * q, d), QuadNum.of(p * p - 4 * r, d),
-                     QuadNum.of(2 * p, d), QuadNum.of(1, d)]
-        z = _find_linear_root(resolvent, d)
-        if z is None or z.is_zero():
-            raise UnsupportedFactorization("resolvent cubic has no usable root")
+        zs = _rational_roots([-q * q, p * p - 4 * r, 2 * p, 1])
+        if not zs:
+            raise UnsupportedFactorization("resolvent cubic has no rational root")
+        z = QuadNum.of(zs[0], d)
         try:
             s = z.sqrt()
         except NotASquare:
@@ -401,30 +462,33 @@ def find_field_roots(coeffs, d=DEFAULT_D):
     while len(poly) >= 2 and poly[0].is_zero():
         roots.append(zero)
         poly = poly[1:]
-    while len(poly) >= 4:
-        root = _find_linear_root(poly, d)
-        if root is not None:
-            roots.append(root)
-            poly = poly_deflate(poly, root)
-            continue
-        rational = all(c.is_rational() for c in poly)
-        if len(poly) == 4 and rational:
+    if len(poly) >= 4:
+        # a rational root is a common root of the rational and sqrt(d)
+        # parts of the coefficient list
+        base = [c.p for c in poly]
+        if not any(base):
+            base = [c.q for c in poly]
+        for r in _rational_roots(base):
+            x = QuadNum.of(r, d)
+            while len(poly) >= 4 and poly_eval(poly, x).is_zero():
+                roots.append(x)
+                poly = poly_deflate(poly, x)
+    if len(poly) >= 4:
+        if not all(c.is_rational() for c in poly):
+            raise UnsupportedFactorization(
+                "no linear factor found for an irrational-coefficient polynomial")
+        if len(poly) == 4:
             # rational cubic with no rational root: irreducible over Q,
             # hence no root in a quadratic extension either
             outside += 3
-            poly = []
-            break
-        if len(poly) == 5 and rational:
+        else:
             lead = poly[-1]
             monic = [c / lead for c in poly]
             for quad in _split_rational_quartic(monic, d):
                 sub_roots, sub_outside = _solve_quadratic(quad, d)
                 roots.extend(sub_roots)
                 outside += sub_outside
-            poly = []
-            break
-        raise UnsupportedFactorization(
-            "no linear factor found for an irrational-coefficient polynomial")
+        poly = []
     if len(poly) == 3:
         sub_roots, sub_outside = _solve_quadratic(poly, d)
         roots.extend(sub_roots)

@@ -142,6 +142,21 @@ class TestThreeTorsion:
         assert torsion2.points == ()
         assert torsion2.missing_y == 4
 
+    def test_constant_term_with_many_prime_factors(self):
+        # psi_3 = 3x(x^3 - 4N) with N = 420^2 * 3 * 11*13*17*19: 4N is not
+        # a cube, and at x = 0, y^2 = -N = -3 * 46189 * 420^2 has no root
+        # in Q(sqrt -3)
+        n = 2**4 * 3**3 * 5**2 * 7**2 * 11 * 13 * 17 * 19
+        torsion = three_torsion(Curve.of(0, -n))
+        assert torsion.points == () and torsion.x_roots == ()
+        assert torsion.missing_y == 1 and torsion.missing_x == 3
+        # with B = M^2 the x = 0 root carries the points (0, +-M)
+        m = 2 * 3 * 5 * 7 * 11 * 13 * 17 * 19
+        torsion = three_torsion(Curve.of(0, m * m))
+        assert {(p.x, p.y) for p in torsion.points} == {(quad(0), quad(m)),
+                                                      (quad(0), quad(-m))}
+        assert torsion.missing_y == 0 and torsion.missing_x == 3
+
     def test_hessian_flexes_match_division_polynomial(self):
         # Hess = 24x(y^2 - 1296 z^2): the x = 0 branch plus the y^2 = 1296
         # branch, the latter cutting x^3 = 1728 on the curve

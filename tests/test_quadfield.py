@@ -1,12 +1,14 @@
+from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from heiscurve.quadfield import (
     NotASquare,
     QuadNum,
     UnsupportedFactorization,
+    _rational_roots,
     find_field_roots,
     poly_deflate,
     poly_eval,
@@ -21,9 +23,32 @@ rationals = st.fractions(
 )
 field_elems = st.builds(lambda p, q: QuadNum(p, q, -3), rationals, rationals)
 
+big_rationals = st.builds(
+    lambda n, m, neg: Fraction(-n if neg else n, m),
+    st.integers(1 << 29, (1 << 80) - 1),
+    st.integers(1 << 29, (1 << 80) - 1),
+    st.booleans(),
+)
+
 
 def quad(p, q=0, d=-3):
     return QuadNum(Fraction(p), Fraction(q), d)
+
+
+def _mul(a, b):
+    out = [quad(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = out[i + j] + x * y
+    return out
+
+
+def _expand(roots):
+    """Coefficients of the product of (x - r) over the given roots."""
+    coeffs = [quad(1)]
+    for r in roots:
+        coeffs = _mul(coeffs, [quad(-r), quad(1)])
+    return coeffs
 
 
 class TestConstruction:
@@ -203,3 +228,99 @@ class TestRootFinding:
         coeffs = [r1 * r2, -(r1 + r2), quad(1)]
         reduced = poly_deflate(coeffs, r1)
         assert poly_eval(reduced, r2) == quad(0)
+
+    def test_rational_root_behind_an_irrational_leading_coefficient(self):
+        # sqrt(-3) x^3 + (1 - sqrt(-3)) x^2 + (4 + sqrt(-3)) x - 5 - sqrt(-3):
+        # the rational part x^2 + 4x - 5 has lower degree than the
+        # polynomial, and x = 1 is a common root of both parts
+        s = quad(0, 1)
+        coeffs = [-5 - s, 4 + s, 1 - s, s]
+        roots, outside = find_field_roots(coeffs)
+        assert quad(1) in roots
+        assert len(roots) + outside == 3
+        for r in roots:
+            assert poly_eval(coeffs, r).is_zero()
+
+    def test_repeated_rational_roots(self):
+        # (x - 2)^3 (x + 1/3) has a repeated root, so its squarefree part
+        # is taken before any prime is chosen
+        coeffs = _expand([Fraction(2)] * 3 + [Fraction(-1, 3)])
+        roots, outside = find_field_roots(coeffs)
+        assert Counter(roots) == Counter([quad(2)] * 3 + [quad(Fraction(-1, 3))])
+        assert outside == 0
+        assert _rational_roots([c.p for c in coeffs]) == [Fraction(-1, 3), Fraction(2)]
+
+    def test_rational_roots_ordered_by_height(self):
+        # the resolvent-cubic step uses the first root, so the order is fixed:
+        # |numerator|, then denominator, positive before negative
+        roots = [Fraction(-3, 2), Fraction(1, 2), Fraction(-1), Fraction(3, 2)]
+        coeffs = [c.p for c in _expand(roots)]
+        assert _rational_roots(coeffs) == [Fraction(-1), Fraction(1, 2),
+                                           Fraction(3, 2), Fraction(-3, 2)]
+
+    def test_no_rational_roots_from_a_root_mod_p(self):
+        # x^2 - 7 and x^2 + 2 have simple roots mod 3 whose 3-adic lifts are
+        # irrational, so every candidate fails the exact check
+        assert _rational_roots([-7, 0, 1]) == []
+        assert _rational_roots([2, 0, 1]) == []
+        assert _rational_roots([1, 0, 1]) == []
+        assert _rational_roots([0, 0, 5]) == []
+        assert _rational_roots([7]) == []
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_planted_rational_roots_come_back(self, data):
+        pool = data.draw(st.lists(big_rationals, min_size=1, max_size=3)) + [Fraction(0)]
+        extra = data.draw(st.sampled_from(["none", "quadratic", "irrational"]))
+        room = {"none": 4, "quadratic": 2, "irrational": 3}[extra]
+        planted = data.draw(st.lists(st.sampled_from(pool),
+                                     min_size=1 if extra == "none" else 0,
+                                     max_size=room))
+        coeffs = _expand(planted)
+        irrational_roots = []
+        if extra == "quadratic":
+            # (x - s)^2 - 2 t^2 has roots s +- t sqrt 2, outside Q(sqrt -3)
+            s, t = data.draw(big_rationals), data.draw(big_rationals)
+            coeffs = _mul(coeffs, [quad(s * s - 2 * t * t), quad(-2 * s), quad(1)])
+        elif extra == "irrational":
+            alpha = data.draw(field_elems.filter(lambda a: not a.is_rational()))
+            coeffs = _mul(coeffs, [-alpha, quad(1)])
+            irrational_roots.append(alpha)
+        scale = data.draw(field_elems.filter(lambda a: not a.is_zero()))
+        coeffs = [scale * c for c in coeffs]
+        roots, outside = find_field_roots(coeffs)
+        assert Counter(r for r in roots if r.is_rational()) == Counter(
+            quad(r) for r in planted)
+        assert [r for r in roots if not r.is_rational()] == irrational_roots
+        assert outside == len(coeffs) - 1 - len(roots)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.tuples(st.integers(-30, 30), st.integers(1, 12)), max_size=2),
+           st.lists(rationals, min_size=5, max_size=5))
+    def test_rational_roots_match_sympy(self, linear, rest):
+        sympy = pytest.importorskip("sympy")
+        # a random quartic, or a product with one or two linear factors
+        coeffs = [quad(c) for c in rest[:5 - len(linear)]]
+        if coeffs[-1].is_zero():
+            coeffs[-1] = quad(1)
+        for b, a in linear:
+            coeffs = _mul(coeffs, [quad(b), quad(a)])
+        coeffs = [c.p for c in coeffs]
+        poly = sympy.Poly.from_list(
+            [sympy.Rational(c.numerator, c.denominator) for c in reversed(coeffs)],
+            sympy.Symbol("x"), domain=sympy.QQ)
+        expected = Counter()
+        for factor, multiplicity in poly.factor_list()[1]:
+            if factor.degree() == 1:
+                a, b = factor.all_coeffs()
+                root = -b / a
+                expected[Fraction(int(root.p), int(root.q))] += multiplicity
+        assert _rational_roots(coeffs) == sorted(
+            (r for r in expected if r != 0),
+            key=lambda r: (abs(r.numerator), r.denominator, r < 0))
+        try:
+            roots, _ = find_field_roots([quad(c) for c in coeffs])
+        except UnsupportedFactorization:
+            return
+        assert Counter(r.p for r in roots if r.is_rational()) == expected
+

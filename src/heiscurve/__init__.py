@@ -48,7 +48,7 @@ from .elliptic import (
     velu3_map,
 )
 from .heisenberg import HeisenbergElement, commutator, enumerate_group
-from .quadfield import QuadNum, find_field_roots, zeta3
+from .quadfield import FieldMismatch, QuadNum, find_field_roots, zeta3
 from .words import (
     Endo,
     S3_ENDOS,

@@ -30,6 +30,7 @@ from itertools import combinations
 
 from .quadfield import (
     DEFAULT_D,
+    FieldMismatch,
     NotASquare,
     QuadNum,
     find_field_roots,
@@ -70,7 +71,7 @@ class Curve:
 
     def __post_init__(self):
         if self.A.d != self.B.d:
-            raise ValueError("A and B must live in the same field")
+            raise FieldMismatch(self.A.d, self.B.d)
         if self.discriminant().is_zero():
             raise SingularCurve("4A^3 + 27B^2 = 0")
 
@@ -86,7 +87,7 @@ class Curve:
         return -16 * (4 * self.A**3 + 27 * self.B**2)
 
     def rhs(self, x):
-        return x**3 + self.A * x + self.B
+        return (x * x + self.A) * x + self.B
 
     def contains(self, x, y):
         return y * y == self.rhs(x)

@@ -15,7 +15,6 @@ factors of degree <= 2 over the field raise UnsupportedFactorization.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
 
@@ -40,9 +39,24 @@ def _is_squarefree(m):
     return True
 
 
+class FieldMismatch(ValueError):
+    """Elements of two different fields Q(sqrt d) and Q(sqrt other_d) met."""
+
+    def __init__(self, d, other_d):
+        super().__init__("mixing fields Q(sqrt %d) and Q(sqrt %d)" % (d, other_d))
+        self.d = d
+        self.other_d = other_d
+
+
+_VALID_D = set()  # every d that has passed _check_d in this process
+
+
 def _check_d(d):
+    if d in _VALID_D:
+        return
     if d >= 0 or not _is_squarefree(d):
         raise ValueError("d must be a squarefree negative integer, got %r" % (d,))
+    _VALID_D.add(d)
 
 
 def rational_sqrt(value):
@@ -56,54 +70,75 @@ def rational_sqrt(value):
     return None
 
 
-@dataclass(frozen=True)
 class QuadNum:
-    p: Fraction
-    q: Fraction
-    d: int = DEFAULT_D
+    """p + q*sqrt(d): an immutable slotted element of Q(sqrt d).
 
-    def __post_init__(self):
-        _check_d(self.d)
-        object.__setattr__(self, "p", Fraction(self.p))
-        object.__setattr__(self, "q", Fraction(self.q))
+    The public constructor checks d (once per process for each distinct
+    value) and turns p and q into Fractions.  Results of field operations
+    and coercions of ints and Fractions are built by _quad, which stores
+    the Fractions as they are.
+    """
+
+    __slots__ = ("p", "q", "d")
+
+    def __init__(self, p, q, d=DEFAULT_D):
+        _check_d(d)
+        _set_p(self, _fraction(p))
+        _set_q(self, _fraction(q))
+        _set_d(self, d)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("QuadNum is immutable: cannot set %r" % (name,))
+
+    def __delattr__(self, name):
+        raise AttributeError("QuadNum is immutable: cannot delete %r" % (name,))
+
+    def __reduce__(self):
+        return QuadNum, (self.p, self.q, self.d)
+
+    def __repr__(self):
+        return "QuadNum(p=%r, q=%r, d=%r)" % (self.p, self.q, self.d)
 
     @classmethod
     def of(cls, value, d=DEFAULT_D):
+        _check_d(d)
         if isinstance(value, QuadNum):
+            if value.d != d:
+                raise FieldMismatch(d, value.d)
             return value
-        return cls(Fraction(value), Fraction(0), d)
+        return _quad(_fraction(value), _ZERO, d)
 
     @classmethod
     def root(cls, d=DEFAULT_D):
         """The element sqrt(d) itself."""
-        return cls(Fraction(0), Fraction(1), d)
+        _check_d(d)
+        return _quad(_ZERO, _ONE, d)
 
     def _coerce(self, other):
         if isinstance(other, QuadNum):
             if other.d != self.d:
-                raise ValueError("mixing fields Q(sqrt %d) and Q(sqrt %d)"
-                                 % (self.d, other.d))
+                raise FieldMismatch(self.d, other.d)
             return other
         if isinstance(other, (int, Fraction)):
-            return QuadNum.of(other, self.d)
+            return _quad(_fraction(other), _ZERO, self.d)
         return None
 
     def __add__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return QuadNum(self.p + o.p, self.q + o.q, self.d)
+        return _quad(self.p + o.p, self.q + o.q, self.d)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return QuadNum(-self.p, -self.q, self.d)
+        return _quad(-self.p, -self.q, self.d)
 
     def __sub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return QuadNum(self.p - o.p, self.q - o.q, self.d)
+        return _quad(self.p - o.p, self.q - o.q, self.d)
 
     def __rsub__(self, other):
         return -self + other
@@ -112,7 +147,7 @@ class QuadNum:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return QuadNum(
+        return _quad(
             self.p * o.p + self.d * self.q * o.q,
             self.p * o.q + self.q * o.p,
             self.d,
@@ -121,7 +156,7 @@ class QuadNum:
     __rmul__ = __mul__
 
     def conjugate(self):
-        return QuadNum(self.p, -self.q, self.d)
+        return _quad(self.p, -self.q, self.d)
 
     def norm(self):
         return self.p * self.p - self.d * self.q * self.q
@@ -130,7 +165,7 @@ class QuadNum:
         n = self.norm()
         if n == 0:
             raise ZeroDivisionError("inverse of zero")
-        return QuadNum(self.p / n, -self.q / n, self.d)
+        return _quad(self.p / n, -self.q / n, self.d)
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -146,14 +181,17 @@ class QuadNum:
             return NotImplemented
         if k < 0:
             return self.inverse() ** (-k)
-        result = QuadNum.of(1, self.d)
+        if k == 0:
+            return _quad(_ONE, _ZERO, self.d)
+        result = None
         base = self
-        while k:
+        while True:
             if k & 1:
-                result = result * base
-            base = base * base
+                result = base if result is None else result * base
             k >>= 1
-        return result
+            if not k:
+                return result
+            base = base * base
 
     def __eq__(self, other):
         o = self._coerce(other) if not isinstance(other, QuadNum) else other
@@ -162,6 +200,9 @@ class QuadNum:
         return self.d == o.d and self.p == o.p and self.q == o.q
 
     def __hash__(self):
+        # a rational element equals its rational value, so it hashes like it
+        if not self.q:
+            return hash(self.p)
         return hash((self.p, self.q, self.d))
 
     def is_zero(self):
@@ -178,14 +219,14 @@ class QuadNum:
         NotASquare when no root lies in the field.
         """
         if self.is_zero():
-            return QuadNum.of(0, self.d)
+            return self
         if self.q == 0:
             u = rational_sqrt(self.p)
             if u is not None:
-                return QuadNum(u, Fraction(0), self.d)
+                return _quad(u, _ZERO, self.d)
             v = rational_sqrt(self.p / self.d)
             if v is not None:
-                return QuadNum(Fraction(0), v, self.d)
+                return _quad(_ZERO, v, self.d)
             raise NotASquare("%s is not a square in Q(sqrt %d)" % (self, self.d))
         # (u + v sqrt d)^2 = self  =>  u^2 is a root of t^2 - p t + d q^2/4
         s = rational_sqrt(self.norm())
@@ -194,7 +235,7 @@ class QuadNum:
                 u = rational_sqrt(t)
                 if u is not None and u != 0:
                     v = self.q / (2 * u)
-                    root = QuadNum(u, v, self.d)
+                    root = _quad(u, v, self.d)
                     if root * root == self:
                         return self._normalize_sign(root)
         raise NotASquare("%s is not a square in Q(sqrt %d)" % (self, self.d))
@@ -233,6 +274,27 @@ class QuadNum:
         return "%s %s %s" % (self.p, sign, q_part)
 
 
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
+_new = object.__new__
+_set_p = QuadNum.p.__set__
+_set_q = QuadNum.q.__set__
+_set_d = QuadNum.d.__set__
+
+
+def _fraction(x):
+    return x if type(x) is Fraction else Fraction(x)
+
+
+def _quad(p, q, d):
+    """A QuadNum from Fractions p, q and a d that has passed _check_d."""
+    x = _new(QuadNum)
+    _set_p(x, p)
+    _set_q(x, q)
+    _set_d(x, d)
+    return x
+
+
 def zeta3(d=DEFAULT_D):
     """The primitive cube root of unity (-1 + sqrt(-3))/2; requires d = -3."""
     if d != -3:
@@ -252,8 +314,10 @@ def poly_normalize(coeffs, d=DEFAULT_D):
 
 
 def poly_eval(coeffs, x):
-    result = QuadNum.of(0, x.d)
-    for c in reversed(coeffs):
+    if not coeffs:
+        return QuadNum.of(0, x.d)
+    result = QuadNum.of(coeffs[-1], x.d)
+    for c in reversed(coeffs[:-1]):
         result = result * x + c
     return result
 

@@ -2,6 +2,7 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from heiscurve.elliptic import (
     BadKernelPoint,
@@ -23,7 +24,7 @@ from heiscurve.elliptic import (
     velu3,
     velu3_map,
 )
-from heiscurve.quadfield import QuadNum, find_field_roots, zeta3
+from heiscurve.quadfield import FieldMismatch, QuadNum, find_field_roots, zeta3
 
 
 def quad(p, q=0):
@@ -39,7 +40,40 @@ ROW_CURVES = [
 ]
 
 
+def field_elems(d):
+    rationals = st.fractions(max_denominator=12, min_value=Fraction(-20),
+                             max_value=Fraction(20))
+    return st.builds(lambda p, q: QuadNum(p, q, d), rationals, rationals)
+
+
+@st.composite
+def curves_and_x(draw, d):
+    A, B, x = draw(field_elems(d)), draw(field_elems(d)), draw(field_elems(d))
+    try:
+        return Curve(A, B), x
+    except SingularCurve:
+        assume(False)
+
+
 class TestCurve:
+    @pytest.mark.parametrize("d", [5, -12])
+    def test_bad_d_rejected_every_time(self, d):
+        for _ in range(2):
+            with pytest.raises(ValueError, match="squarefree negative"):
+                Curve.of(0, 1, d)
+
+    def test_coefficients_from_two_fields_rejected(self):
+        with pytest.raises(FieldMismatch):
+            Curve(QuadNum.of(1, -3), QuadNum.of(1, -1))
+        with pytest.raises(FieldMismatch):
+            Curve.of(QuadNum.of(1, -1), 1, -3)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.sampled_from([-3, -1000003]).flatmap(curves_and_x))
+    def test_rhs_is_the_cubic(self, curve_x):
+        curve, x = curve_x
+        assert curve.rhs(x) == x**3 + curve.A * x + curve.B
+
     def test_singular_rejected(self):
         with pytest.raises(SingularCurve):
             Curve.of(0, 0)

@@ -1,10 +1,14 @@
+import copy
+import pickle
 from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from heiscurve import quadfield
 from heiscurve.quadfield import (
+    FieldMismatch,
     NotASquare,
     QuadNum,
     UnsupportedFactorization,
@@ -69,6 +73,79 @@ class TestConstruction:
         assert 3 * quad(2) == quad(6)
         assert 1 - quad(2) == quad(-1)
 
+    @pytest.mark.parametrize("d", [5, 0, -12, -4 * 1000003])
+    def test_bad_d_rejected_every_time(self, d):
+        # a rejected d is never recorded as checked
+        for _ in range(2):
+            with pytest.raises(ValueError, match="squarefree negative"):
+                QuadNum(Fraction(1), Fraction(0), d)
+            with pytest.raises(ValueError, match="squarefree negative"):
+                QuadNum.of(1, d)
+            with pytest.raises(ValueError, match="squarefree negative"):
+                QuadNum.root(d)
+
+    def test_d_checked_once_per_process(self, monkeypatch):
+        calls = []
+        is_squarefree = quadfield._is_squarefree
+        monkeypatch.setattr(quadfield, "_VALID_D", set())
+        monkeypatch.setattr(quadfield, "_is_squarefree",
+                            lambda m: calls.append(m) or is_squarefree(m))
+        x = QuadNum(Fraction(1, 2), Fraction(3), -1000003)
+        y = QuadNum.of(5, -1000003) * x + QuadNum.root(-1000003)
+        assert (y**3 / x).d == -1000003
+        assert calls == [-1000003]
+
+    @pytest.mark.parametrize("name", ["p", "q", "d"])
+    def test_immutable(self, name):
+        x = quad(1, 2)
+        with pytest.raises(AttributeError):
+            setattr(x, name, 7)
+        with pytest.raises(AttributeError):
+            delattr(x, name)
+        with pytest.raises(AttributeError):
+            x.other = 1
+        assert x == quad(1, 2)
+
+    def test_pickle_and_copy(self):
+        x = QuadNum(Fraction(1, 3), Fraction(-5, 6), -1000003)
+        assert pickle.loads(pickle.dumps(x)) == x
+        assert copy.deepcopy(x) == x and copy.copy(x) == x
+
+    def test_rational_element_hashes_like_its_value(self):
+        # regression: equal values must hash alike, or set lookups fail
+        assert 3 in {QuadNum.of(3)}
+        assert QuadNum.of(3) in {3}
+        assert Fraction(1, 2) in {QuadNum.of(Fraction(1, 2))}
+        assert hash(QuadNum.of(Fraction(-7, 2))) == hash(Fraction(-7, 2))
+        assert quad(0, 1) in {quad(0, 1)}
+
+    @settings(max_examples=50, deadline=None)
+    @given(field_elems, field_elems)
+    def test_equal_elements_hash_alike(self, a, b):
+        c = a + b - b
+        assert c == a and hash(c) == hash(a)
+
+    def test_of_rejects_another_field(self):
+        x = QuadNum.of(1, -1)
+        assert QuadNum.of(x, -1) is x
+        with pytest.raises(FieldMismatch) as info:
+            QuadNum.of(x, -3)
+        assert (info.value.d, info.value.other_d) == (-3, -1)
+
+    def test_arithmetic_rejects_another_field(self):
+        with pytest.raises(FieldMismatch) as info:
+            quad(1, 1) * QuadNum.of(2, -1)
+        assert (info.value.d, info.value.other_d) == (-3, -1)
+        with pytest.raises(FieldMismatch):
+            quad(1) - QuadNum.of(1, -1)
+        # equality across fields is an answer, not an error
+        assert quad(1) != QuadNum.of(1, -1)
+
+    def test_roots_not_taken_from_another_field(self):
+        # regression: the coefficients used to pass through unchanged
+        with pytest.raises(FieldMismatch):
+            find_field_roots([QuadNum.of(1, -1)] * 2, d=-3)
+
 
 class TestFieldAxioms:
     @given(field_elems, field_elems, field_elems)
@@ -91,6 +168,22 @@ class TestFieldAxioms:
     def test_norm_is_multiplicative_with_conjugate(self, a):
         assert a * a.conjugate() == QuadNum(a.norm(), Fraction(0), a.d)
         assert a.norm() >= 0  # imaginary field
+
+    @pytest.mark.parametrize("x", [quad(2, -1), quad(Fraction(-1, 2), Fraction(1, 2)),
+                                   QuadNum(Fraction(3, 7), Fraction(1, 5), -1000003)])
+    def test_powers_match_repeated_multiplication(self, x):
+        for k in range(-3, 9):
+            base = x if k >= 0 else x.inverse()
+            expected = QuadNum.of(1, x.d)
+            for _ in range(abs(k)):
+                expected = expected * base
+            assert x**k == expected
+
+    def test_powers_of_zero(self):
+        assert quad(0) ** 0 == quad(1)
+        assert quad(0) ** 5 == quad(0)
+        with pytest.raises(ZeroDivisionError):
+            quad(0) ** -1
 
     @given(field_elems, st.integers(-6, 6))
     def test_integer_powers(self, a, k):
@@ -163,6 +256,25 @@ class TestSerialization:
         assert str(quad(0, 1)) == "√-3"
         assert str(quad(2, -5)) == "2 - 5√-3"
 
+    @pytest.mark.parametrize("x, text, rep, data", [
+        (QuadNum(Fraction(-7, 2), 0, -3), "-7/2",
+         "QuadNum(p=Fraction(-7, 2), q=Fraction(0, 1), d=-3)",
+         {"p_num": -7, "p_den": 2, "q_num": 0, "q_den": 1, "d": -3}),
+        (QuadNum(0, -1, -3), "-√-3",
+         "QuadNum(p=Fraction(0, 1), q=Fraction(-1, 1), d=-3)",
+         {"p_num": 0, "p_den": 1, "q_num": -1, "q_den": 1, "d": -3}),
+        (QuadNum(Fraction(1, 3), Fraction(-5, 6), -1000003), "1/3 - 5/6√-1000003",
+         "QuadNum(p=Fraction(1, 3), q=Fraction(-5, 6), d=-1000003)",
+         {"p_num": 1, "p_den": 3, "q_num": -5, "q_den": 6, "d": -1000003}),
+        (QuadNum(2, 1, -1), "2 + √-1",
+         "QuadNum(p=Fraction(2, 1), q=Fraction(1, 1), d=-1)",
+         {"p_num": 2, "p_den": 1, "q_num": 1, "q_den": 1, "d": -1}),
+    ])
+    def test_golden_forms(self, x, text, rep, data):
+        assert str(x) == text
+        assert repr(x) == rep
+        assert x.to_json_dict() == data
+
 
 class TestRootFinding:
     def test_division_polynomial_of_the_fermat_cubic(self):
@@ -221,6 +333,21 @@ class TestRootFinding:
     def test_deflate_checks_root(self):
         with pytest.raises(ValueError):
             poly_deflate([quad(1), quad(1)], quad(5))
+
+    def test_poly_eval_short_lists(self):
+        x = quad(2, 1)
+        assert poly_eval([], x) == quad(0)
+        assert isinstance(poly_eval([], x), QuadNum)
+        assert poly_eval([quad(5, -1)], x) == quad(5, -1)
+        assert poly_eval([7], x) == quad(7) and isinstance(poly_eval([7], x), QuadNum)
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.lists(field_elems, max_size=6), field_elems)
+    def test_poly_eval_matches_naive_sum(self, coeffs, x):
+        expected = quad(0)
+        for i, c in enumerate(coeffs):
+            expected = expected + c * x**i
+        assert poly_eval(coeffs, x) == expected
 
     @given(field_elems, field_elems)
     def test_eval_after_deflate(self, r1, r2):

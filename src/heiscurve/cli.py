@@ -152,12 +152,17 @@ def build_parser():
 
 
 def _enumeration_bound(args):
-    env = os.environ.get("HEISCURVE_BOUND")
-    if env is not None:
-        return int(env)
-    if getattr(args, "bound", None) is not None:
+    """--bound, else the HEISCURVE_BOUND environment variable, else the
+    library default."""
+    if args.bound is not None:
         return args.bound
-    return heisenberg.DEFAULT_ENUMERATION_BOUND
+    env = os.environ.get("HEISCURVE_BOUND")
+    if env is None:
+        return heisenberg.DEFAULT_ENUMERATION_BOUND
+    try:
+        return int(env)
+    except ValueError:
+        raise CliError("HEISCURVE_BOUND must be an integer, got %r" % (env,))
 
 
 def _run_group(args):
@@ -332,7 +337,6 @@ _DISPATCH = {
 
 _MATH_ERRORS = (
     covers.NonIntegerGenus,
-    covers.GroupBoundExceeded,
     elliptic.SingularCurve,
     elliptic.PointNotOnCurve,
     elliptic.BadKernelPoint,

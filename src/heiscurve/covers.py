@@ -17,15 +17,9 @@ from fractions import Fraction
 from itertools import product
 from math import gcd
 
-DEFAULT_GROUP_BOUND = 16
-
 
 class NonIntegerGenus(ArithmeticError):
     """Riemann-Hurwitz data that does not yield a nonnegative integer genus."""
-
-
-class GroupBoundExceeded(ValueError):
-    """Asked to build a group larger than the configured cap."""
 
 
 @dataclass(frozen=True)
@@ -463,12 +457,10 @@ class FermatAutGroup:
         return True
 
 
-def build_fermat_aut(n, bound=DEFAULT_GROUP_BOUND, verify=True):
+def build_fermat_aut(n, verify=True):
     """Construct the group; verify=True (the default) checks its axioms."""
     if n < 3:
         raise ValueError("n must be >= 3")
-    if n > bound:
-        raise GroupBoundExceeded("n=%d exceeds the group bound %d" % (n, bound))
     group = FermatAutGroup(n)
     if verify:
         group.verify_axioms()

@@ -495,6 +495,11 @@ class DerivationReport:
                    row.codomain, row.j)
             )
         lines.append("")
+        lines.append("pairwise classification of the codomains:")
+        for (i, j), cls in self.pair_classifications:
+            scale = "" if cls.scale is None else " (scale %s)" % cls.scale
+            lines.append("    rows %d,%d: %s%s" % (i + 1, j + 1, cls.kind, scale))
+        lines.append("")
         lines.append("selected (unique j = 0, origin stabilizer of order 6):")
         lines.append("    %s" % self.selected)
         return "\n".join(lines)

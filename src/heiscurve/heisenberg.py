@@ -135,6 +135,8 @@ def commutator(g, h):
 
 def enumerate_group(n, bound=DEFAULT_ENUMERATION_BOUND):
     """All n^3 elements, ordered lexicographically by (x, y, z)."""
+    if not isinstance(n, int) or n < 1:
+        raise ValueError("modulus must be an integer >= 1")
     if n > bound:
         raise EnumerationBoundExceeded(
             "n=%d exceeds the enumeration bound %d" % (n, bound)

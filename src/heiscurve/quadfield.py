@@ -30,13 +30,22 @@ class UnsupportedFactorization(ArithmeticError):
 
 
 def _is_squarefree(m):
+    """True iff the square of no prime divides m (m != 0).
+
+    Trial division stops at the cube root of what is left of |m|.  Every
+    prime below that has been divided out once, so the cofactor has at most
+    two prime factors and is squarefree unless it is a perfect square.
+    """
     m = abs(m)
-    k = 2
-    while k * k <= m:
-        if m % (k * k) == 0:
-            return False
-        k += 1
-    return True
+    p = 2
+    while p * p * p <= m:
+        if m % p == 0:
+            m //= p
+            if m % p == 0:
+                return False
+        p += 1
+    r = isqrt(m)
+    return m == 1 or r * r != m
 
 
 class FieldMismatch(ValueError):

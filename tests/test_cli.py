@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from heiscurve import cli, covers, elliptic, heisenberg, quadfield, words
 from heiscurve.cli import main
 
 
@@ -62,6 +63,27 @@ class TestGroup:
         code, payload = run_json(capsys, "group", "--n", "17", "--op", "enumerate")
         assert code == 0
         assert payload["count"] == 17**3
+
+    def test_bound_flag_beats_env(self, capsys, monkeypatch):
+        monkeypatch.setenv("HEISCURVE_BOUND", "3")
+        code, payload = run_json(
+            capsys, "group", "--n", "4", "--op", "enumerate", "--bound", "100")
+        assert code == 0
+        assert payload["count"] == 64
+
+    def test_bound_env_not_an_integer_is_usage_error(self, capsys, monkeypatch):
+        monkeypatch.setenv("HEISCURVE_BOUND", "abc")
+        code, out, err = run(capsys, "group", "--n", "3", "--op", "enumerate")
+        assert code == 1
+        assert out == ""
+        assert "HEISCURVE_BOUND" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("n", ("0", "-2"))
+    def test_enumerate_bad_modulus_is_usage_error(self, capsys, n):
+        code, out, err = run(capsys, "group", "--n", n, "--op", "enumerate")
+        assert code == 1
+        assert out == ""
+        assert "modulus must be an integer >= 1" in err
 
     def test_missing_element_is_usage_error(self, capsys):
         code, _, err = run(capsys, "group", "--n", "3", "--op", "order")
@@ -165,6 +187,19 @@ class TestC3:
         assert code == 0
         assert "11664" in out and "-109296" in out
 
+    def test_text_lists_pair_classifications(self, capsys):
+        code, out, _ = run(capsys, "c3")
+        assert code == 0
+        lines = [ln.strip() for ln in out.splitlines()
+                 if ln.strip().startswith("rows ")]
+        expected = []
+        for (i, j), cls in elliptic.derive_isogenous_curves().pair_classifications:
+            scale = "" if cls.scale is None else " (scale %s)" % cls.scale
+            expected.append("rows %d,%d: %s%s" % (i + 1, j + 1, cls.kind, scale))
+        assert len(lines) == 6
+        assert lines == expected
+        assert "rows 2,3: isomorphic (scale 1/2 - 1/2√-3)" in lines
+
     @pytest.mark.parametrize("d", ("-1", "-7"))
     def test_field_without_j_zero_row_is_math_error(self, capsys, d):
         code, out, err = run(capsys, "c3", "--d", d)
@@ -218,6 +253,22 @@ class TestCurveCommands:
     def test_bad_field_element_is_usage_error(self, capsys):
         code, _, err = run(capsys, "j", "--A", "nonsense", "--B", "1")
         assert code == 1
+
+
+def test_every_library_exception_has_an_exit_code():
+    """No exception class of the library can escape main as a traceback:
+    each is a math error (exit 2) or a ValueError (exit 1)."""
+    defined = {
+        obj
+        for module in (covers, elliptic, heisenberg, quadfield, words)
+        for obj in vars(module).values()
+        if isinstance(obj, type) and issubclass(obj, Exception)
+        and obj.__module__ == module.__name__
+    }
+    assert defined
+    for exc in defined:
+        assert exc in cli._MATH_ERRORS or issubclass(exc, ValueError), exc
+    assert set(cli._MATH_ERRORS) <= defined
 
 
 class TestParsing:

@@ -8,7 +8,6 @@ from heiscurve import covers
 from heiscurve.covers import (
     CoverRamification,
     FermatAutGroup,
-    GroupBoundExceeded,
     NonIntegerGenus,
     PointClass,
     RamificationData,
@@ -380,7 +379,8 @@ class TestFermatAutGroup:
         assert symmetry_matrix("cycle_xyz", n) == ((n - 1, n - 1), (1, 0))
 
     def test_bound_enforced(self):
-        with pytest.raises(GroupBoundExceeded):
-            build_fermat_aut(17)
         with pytest.raises(ValueError):
             build_fermat_aut(2)
+
+    def test_large_n_builds_and_verifies(self):
+        assert build_fermat_aut(10**6).order == 6 * 10**12

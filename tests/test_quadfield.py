@@ -147,6 +147,34 @@ class TestConstruction:
             find_field_roots([QuadNum.of(1, -1)] * 2, d=-3)
 
 
+def _squarefree_by_squares(m):
+    """Reference: trial division by k^2 for every k <= sqrt(|m|)."""
+    m = abs(m)
+    k = 2
+    while k * k <= m:
+        if m % (k * k) == 0:
+            return False
+        k += 1
+    return True
+
+
+class TestSquarefree:
+    def test_exhaustive_below_1e5(self):
+        for m in range(1, 10**5):
+            assert quadfield._is_squarefree(-m) == _squarefree_by_squares(m), m
+
+    @given(st.integers(min_value=1, max_value=10**8))
+    def test_matches_reference(self, m):
+        assert quadfield._is_squarefree(-m) == _squarefree_by_squares(m)
+
+    @pytest.mark.parametrize(
+        "m", (10**18 + 9, (10**9 + 7) ** 2, 2 * 100003 * 1000003**2))
+    def test_large(self, m):
+        sympy = pytest.importorskip("sympy")
+        expected = max(sympy.factorint(m).values()) == 1
+        assert quadfield._is_squarefree(-m) == expected
+
+
 class TestFieldAxioms:
     @given(field_elems, field_elems, field_elems)
     def test_ring_laws(self, a, b, c):

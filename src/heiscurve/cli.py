@@ -64,23 +64,32 @@ def _parse_quadnum(text, d):
     return quadfield.QuadNum(p, q, d)
 
 
-def _parse_triple(text, n):
-    parts = text.split(",")
-    if len(parts) != 3:
-        raise CliError("element must be three comma-separated residues x,y,z")
-    x, y, z = (int(v) for v in parts)
-    return heisenberg.HeisenbergElement(n, x, y, z)
+def _parse_ints(text, flag, form):
+    try:
+        return tuple(int(v) for v in text.split(","))
+    except ValueError:
+        raise CliError("%s must be %s, got %r" % (flag, form, text))
+
+
+def _parse_triple(text, n, flag):
+    form = "three comma-separated integers x,y,z"
+    values = _parse_ints(text, flag, form)
+    if len(values) != 3:
+        raise CliError("%s must be %s, got %r" % (flag, form, text))
+    return heisenberg.HeisenbergElement(n, *values)
 
 
 def _fraction_json(f):
     return {"num": f.numerator, "den": f.denominator}
 
 
-def _emit(payload, text, fmt):
+def _emit(fmt, payload, text):
+    """Print payload() as JSON or text() as plain text; only the requested
+    rendering is built."""
     if fmt == "json":
-        print(json.dumps(payload, sort_keys=True))
+        print(json.dumps(payload(), sort_keys=True))
     else:
-        print(text)
+        print(text())
 
 
 def _add_common(parser):
@@ -166,120 +175,127 @@ def _enumeration_bound(args):
 
 
 def _run_group(args):
-    n = args.n
+    n, fmt = args.n, args.format
     if args.op == "enumerate":
         elements = heisenberg.enumerate_group(n, _enumeration_bound(args))
-        payload = {"n": n, "count": len(elements),
-                   "elements": [[g.x, g.y, g.z] for g in elements]}
-        _emit(payload, "\n".join(str(g) for g in elements), args.format)
+        _emit(fmt,
+              lambda: {"n": n, "count": len(elements),
+                       "elements": [[g.x, g.y, g.z] for g in elements]},
+              lambda: "\n".join(str(g) for g in elements))
         return 0
     if not args.element:
         raise CliError("--element is required for op %r" % args.op)
-    g = _parse_triple(args.element, n)
+    g = _parse_triple(args.element, n, "--element")
     if args.op == "mul":
         if not args.other:
             raise CliError("--other is required for mul")
-        h = _parse_triple(args.other, n)
-        result = g * h
-        _emit({"n": n, "result": [result.x, result.y, result.z]},
-              str(result), args.format)
+        result = g * _parse_triple(args.other, n, "--other")
     elif args.op == "pow":
         if args.exp is None:
             raise CliError("--exp is required for pow")
         result = g ** args.exp
-        _emit({"n": n, "result": [result.x, result.y, result.z]},
-              str(result), args.format)
     elif args.op == "order":
-        result = g.order()
-        _emit({"n": n, "order": result}, str(result), args.format)
-    elif args.op == "abelianize":
-        result = g.abelianize()
-        _emit({"n": n, "image": list(result)}, str(result), args.format)
+        order = g.order()
+        _emit(fmt, lambda: {"n": n, "order": order}, lambda: str(order))
+        return 0
+    else:  # abelianize
+        image = g.abelianize()
+        _emit(fmt, lambda: {"n": n, "image": list(image)}, lambda: str(image))
+        return 0
+    _emit(fmt, lambda: {"n": n, "result": [result.x, result.y, result.z]},
+          lambda: str(result))
     return 0
 
 
 def _run_word(args):
-    n = args.n
+    n, fmt = args.n, args.format
     if args.lift:
         endo = words.S3_ENDOS[args.lift]
         lifts = words.lifts_to_heisenberg_cover(endo, n)
-        _emit({"endomorphism": args.lift, "n": n, "lifts": lifts},
-              "lifts" if lifts else "does not lift", args.format)
+        _emit(fmt, lambda: {"endomorphism": args.lift, "n": n, "lifts": lifts},
+              lambda: "lifts" if lifts else "does not lift")
         return 0
     if args.nielsen:
         endo = words.S3_ENDOS[args.nielsen]
         witness = words.commutator_conjugacy_witness(endo)
         if witness is None:
-            _emit({"endomorphism": args.nielsen, "conjugate": False},
-                  "no conjugacy witness", args.format)
+            _emit(fmt, lambda: {"endomorphism": args.nielsen, "conjugate": False},
+                  lambda: "no conjugacy witness")
         else:
             conj, sign = witness
-            _emit({"endomorphism": args.nielsen, "conjugate": True,
-                   "T": str(conj), "sign": sign},
-                  "T = %s, sign = %+d" % (conj, sign), args.format)
+            _emit(fmt,
+                  lambda: {"endomorphism": args.nielsen, "conjugate": True,
+                           "T": str(conj), "sign": sign},
+                  lambda: "T = %s, sign = %+d" % (conj, sign))
         return 0
     if args.kernel:
         w = words.Word.from_str(args.kernel)
         in_phi = words.in_heisenberg_kernel(w, n)
         in_psi = words.in_abelianized_kernel(w, n)
-        _emit({"word": str(w), "n": n,
-               "in_heisenberg_kernel": in_phi, "in_abelianized_kernel": in_psi},
-              "heisenberg kernel: %s, abelianized kernel: %s" % (in_phi, in_psi),
-              args.format)
+        _emit(fmt,
+              lambda: {"word": str(w), "n": n, "in_heisenberg_kernel": in_phi,
+                       "in_abelianized_kernel": in_psi},
+              lambda: "heisenberg kernel: %s, abelianized kernel: %s"
+              % (in_phi, in_psi))
         return 0
     if args.eval_word:
         w = words.Word.from_str(args.eval_word)
         g = words.eval_in_heisenberg(w, n)
         ab = words.eval_in_abelianization(w, n)
-        _emit({"word": str(w), "n": n,
-               "heisenberg": [g.x, g.y, g.z], "abelianization": list(ab)},
-              "in H_n: %s; abelianized: %s" % (g, (ab,)), args.format)
+        _emit(fmt,
+              lambda: {"word": str(w), "n": n, "heisenberg": [g.x, g.y, g.z],
+                       "abelianization": list(ab)},
+              lambda: "in H_n: %s; abelianized: %s" % (g, (ab,)))
         return 0
     raise CliError("word requires one of --eval/--kernel/--lift/--nielsen")
 
 
 def _run_genus(args):
+    fmt = args.format
     if args.fermat is not None:
         g = covers.fermat_genus(args.fermat)
-        _emit({"curve": "fermat", "n": args.fermat, "genus": g}, str(g),
-              args.format)
+        _emit(fmt, lambda: {"curve": "fermat", "n": args.fermat, "genus": g},
+              lambda: str(g))
         return 0
     if args.heisenberg is not None:
         g = covers.heisenberg_genus(args.heisenberg)
-        _emit({"curve": "heisenberg", "n": args.heisenberg, "genus": g}, str(g),
-              args.format)
+        _emit(fmt,
+              lambda: {"curve": "heisenberg", "n": args.heisenberg, "genus": g},
+              lambda: str(g))
         return 0
     if args.rh:
         if args.order is None:
             raise CliError("--order is required for --rh")
-        indices = tuple(
-            int(v) for v in args.indices.split(",")) if args.indices else ()
+        indices = _parse_ints(
+            args.indices, "--indices",
+            "comma-separated integers") if args.indices else ()
         data = covers.RamificationData(args.base_genus, args.order, indices)
         g = covers.rh_genus(data)
-        _emit({"base_genus": args.base_genus, "order": args.order,
-               "indices": list(indices), "genus": g}, str(g), args.format)
+        _emit(fmt,
+              lambda: {"base_genus": args.base_genus, "order": args.order,
+                       "indices": list(indices), "genus": g},
+              lambda: str(g))
         return 0
     raise CliError("genus requires one of --fermat/--heisenberg/--rh")
 
 
+def _audit_line(v):
+    status = "consistent  " if v.consistent else "INCONSISTENT"
+    return ("%s  signature=%s order=%d expected_genus=%d computed=%s  %s"
+            % (status, v.signature, v.order, v.expected_genus,
+               v.computed_genus, v.claim))
+
+
 def _run_audit(args):
     verdicts = covers.audit_signature_claims(args.n_max)
-    payload = [v.to_json_dict() for v in verdicts]
-    lines = []
-    for v in verdicts:
-        status = "consistent  " if v.consistent else "INCONSISTENT"
-        lines.append(
-            "%s  signature=%s order=%d expected_genus=%d computed=%s  %s"
-            % (status, v.signature, v.order, v.expected_genus,
-               v.computed_genus, v.claim)
-        )
-    _emit(payload, "\n".join(lines), args.format)
+    _emit(args.format, lambda: [v.to_json_dict() for v in verdicts],
+          lambda: "\n".join(_audit_line(v) for v in verdicts))
     return AUDIT_INCONSISTENT if any(not v.consistent for v in verdicts) else 0
 
 
 def _run_c3(args):
     report = elliptic.derive_isogenous_curves(args.d)
-    _emit(report.to_json_dict(), report.to_text(), args.format)
+    _emit(args.format, report.to_json_dict, report.to_text)
     return 0
 
 
@@ -289,20 +305,24 @@ def _curve_from_args(args):
     return elliptic.Curve(a, b)
 
 
+def _torsion_text(torsion):
+    text = "\n".join(str(p) for p in torsion.points) or "(no field-rational points)"
+    return text + "\n%d point(s) including the identity" % torsion.count_with_identity()
+
+
 def _run_torsion(args):
     curve = _curve_from_args(args)
     torsion = elliptic.three_torsion(curve)
-    payload = {
-        "curve": curve.to_json_dict(),
-        "points": [{"x": p.x.to_json_dict(), "y": p.y.to_json_dict()}
-                   for p in torsion.points],
-        "missing_y": torsion.missing_y,
-        "missing_x": torsion.missing_x,
-        "count_with_identity": torsion.count_with_identity(),
-    }
-    text = "\n".join(str(p) for p in torsion.points) or "(no field-rational points)"
-    text += "\n%d point(s) including the identity" % torsion.count_with_identity()
-    _emit(payload, text, args.format)
+    _emit(args.format,
+          lambda: {
+              "curve": curve.to_json_dict(),
+              "points": [{"x": p.x.to_json_dict(), "y": p.y.to_json_dict()}
+                         for p in torsion.points],
+              "missing_y": torsion.missing_y,
+              "missing_x": torsion.missing_x,
+              "count_with_identity": torsion.count_with_identity(),
+          },
+          lambda: _torsion_text(torsion))
     return 0
 
 
@@ -310,17 +330,20 @@ def _run_isogeny(args):
     curve = _curve_from_args(args)
     p = curve.point(_parse_quadnum(args.x, args.d), _parse_quadnum(args.y, args.d))
     codomain = elliptic.velu3(curve, p)
-    _emit({"domain": curve.to_json_dict(), "codomain": codomain.to_json_dict(),
-           "j": elliptic.j_invariant(codomain).to_json_dict()},
-          str(codomain), args.format)
+    _emit(args.format,
+          lambda: {"domain": curve.to_json_dict(),
+                   "codomain": codomain.to_json_dict(),
+                   "j": elliptic.j_invariant(codomain).to_json_dict()},
+          lambda: str(codomain))
     return 0
 
 
 def _run_j(args):
     curve = _curve_from_args(args)
     j = elliptic.j_invariant(curve)
-    _emit({"curve": curve.to_json_dict(), "j": j.to_json_dict()}, str(j),
-          args.format)
+    _emit(args.format,
+          lambda: {"curve": curve.to_json_dict(), "j": j.to_json_dict()},
+          lambda: str(j))
     return 0
 
 

@@ -30,21 +30,68 @@ GENERATORS = ("a", "b")
 
 
 def _reduce(syllables):
-    """Stack-based free reduction of (generator, exponent) pairs."""
+    """Stack-based free reduction of (generator, exponent) pairs.
+
+    A pair that passes through unmerged is kept as the caller's tuple.
+    """
     stack = []
-    for gen, exp in syllables:
+    for syllable in syllables:
+        gen, exp = syllable
         if gen not in GENERATORS:
             raise ValueError("unknown generator %r" % (gen,))
         if exp == 0:
             continue
         if stack and stack[-1][0] == gen:
-            merged = stack[-1][1] + exp
-            stack.pop()
+            merged = stack.pop()[1] + exp
             if merged != 0:
                 stack.append((gen, merged))
+        elif type(syllable) is tuple:
+            stack.append(syllable)
         else:
             stack.append((gen, exp))
     return tuple(stack)
+
+
+def _concat(left, right):
+    """Reduced product of two reduced syllable tuples.
+
+    Only the seam can cancel: syllables meeting there merge, and a merge that
+    reaches zero exposes the next pair, which then lie on the same generator.
+    """
+    i, j = len(left), 0
+    while i and j < len(right):
+        gen, exp = left[i - 1]
+        if gen != right[j][0]:
+            break
+        merged = exp + right[j][1]
+        if merged != 0:
+            return left[: i - 1] + ((gen, merged),) + right[j + 1 :]
+        i -= 1
+        j += 1
+    return left[:i] + right[j:]
+
+
+def _invert(syllables):
+    return tuple((g, -e) for g, e in reversed(syllables))
+
+
+def _cyclic_split(syllables):
+    """(t, c) with syllables = t c t^-1 freely, where c^k is reduced as the
+    plain repetition c*k.
+
+    c is empty, one syllable, or starts and ends on different generators.
+    Ends on the same generator are peeled off into t; if they do not cancel,
+    their sum moves to the end of c.
+    """
+    lo, hi = 0, len(syllables)
+    while hi - lo > 1 and syllables[lo][0] == syllables[hi - 1][0]:
+        gen, exp = syllables[lo]
+        merged = exp + syllables[hi - 1][1]
+        if merged != 0:
+            return syllables[: lo + 1], syllables[lo + 1 : hi - 1] + ((gen, merged),)
+        lo += 1
+        hi -= 1
+    return syllables[:lo], syllables[lo:hi]
 
 
 @dataclass(frozen=True)
@@ -69,20 +116,25 @@ class Word:
     def __mul__(self, other):
         if not isinstance(other, Word):
             return NotImplemented
-        return Word(self.syllables + other.syllables)
+        return _word(_concat(self.syllables, other.syllables))
 
     def inverse(self):
-        return Word(tuple((g, -e) for g, e in reversed(self.syllables)))
+        return _word(_invert(self.syllables))
 
     def __pow__(self, k):
+        """w^k = t c^k t^-1 with c cyclically reduced, so c^k needs no
+        reduction and the two seams with t cancel in constant time."""
         if not isinstance(k, int):
             return NotImplemented
+        t, core = _cyclic_split(self.syllables)
         if k < 0:
-            return self.inverse() ** (-k)
-        result = Word()
-        for _ in range(k):
-            result = result * self
-        return result
+            core, k = _invert(core), -k
+        if len(core) == 1:
+            ((gen, exp),) = core
+            power = ((gen, exp * k),) if k else ()
+        else:
+            power = core * k
+        return _word(_concat(_concat(t, power), _invert(t)))
 
     def is_identity(self):
         return not self.syllables
@@ -108,22 +160,32 @@ class Word:
         return "".join(chunks)
 
 
+def _word(syllables):
+    """A Word from a syllable tuple that is already freely reduced."""
+    word = object.__new__(Word)
+    object.__setattr__(word, "syllables", syllables)
+    return word
+
+
 A = Word((("a", 1),))
 B = Word((("b", 1),))
 COMMUTATOR = A * B * A.inverse() * B.inverse()
 
 
 def eval_in_heisenberg(word, n):
-    """Homomorphic image in the Heisenberg group mod n."""
-    result = HeisenbergElement.identity(n)
+    """Homomorphic image in the Heisenberg group mod n.
+
+    Right-multiplying (x, y, z) by a^e adds e to x; by b^e it adds e to y
+    and x*e to the corner.  The sums stay plain integers until the end.
+    """
+    x = y = z = 0
     for g, e in word.syllables:
-        base = (
-            HeisenbergElement.generator_a(n)
-            if g == "a"
-            else HeisenbergElement.generator_b(n)
-        )
-        result = result * base**e
-    return result
+        if g == "a":
+            x += e
+        else:
+            z += x * e
+            y += e
+    return HeisenbergElement(n, x, y, z)
 
 
 def eval_in_abelianization(word, n):
@@ -149,11 +211,20 @@ class Endo:
     image_of_b: Word
 
     def apply(self, word):
-        result = Word()
-        for g, e in word.syllables:
-            image = self.image_of_a if g == "a" else self.image_of_b
-            result = result * image**e
-        return result
+        """Concatenate the reduced image of each syllable, then reduce once.
+
+        Each distinct syllable's image is built once per call.
+        """
+        images = {"a": self.image_of_a, "b": self.image_of_b}
+        powers = {}
+        out = []
+        for syllable in word.syllables:
+            power = powers.get(syllable)
+            if power is None:
+                gen, exp = syllable
+                power = powers[syllable] = (images[gen] ** exp).syllables
+            out.extend(power)
+        return _word(_reduce(out))
 
     def compose(self, other):
         """self after other: (self.compose(other))(w) = self(other(w))."""

@@ -1,3 +1,5 @@
+import hashlib
+import itertools
 import json
 import os
 import subprocess
@@ -90,6 +92,46 @@ class TestGroup:
         assert code == 1
         assert "element" in err
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--element", "a,b,c"), ("--element", "1,2"), ("--other", "1,x,3"),
+        ("--other", "1,2,3,4"),
+    ])
+    def test_bad_triple_names_flag(self, capsys, flag, value):
+        given = {"--element": "1,0,0", "--other": "0,1,0", flag: value}
+        code, out, err = run(capsys, "group", "--n", "3", "--op", "mul",
+                             "--element", given["--element"],
+                             "--other", given["--other"])
+        assert code == 1
+        assert out == ""
+        assert flag in err and "x,y,z" in err and repr(value) in err
+        assert "invalid literal" not in err
+
+    def test_bad_element_for_order_is_usage_error(self, capsys):
+        code, _, err = run(capsys, "group", "--n", "3", "--op", "order",
+                           "--element", "a,b,c")
+        assert code == 1
+        assert "--element" in err and "invalid literal" not in err
+
+    def test_enumerate_output_pinned(self, capsys):
+        code, out, _ = run(capsys, "group", "--n", "3", "--op", "enumerate")
+        assert code == 0
+        assert out == "".join("(%d, %d, %d) mod 3\n" % t
+                              for t in itertools.product(range(3), repeat=3))
+        code, out, _ = run(capsys, "group", "--n", "3", "--op", "enumerate",
+                           "--format", "json")
+        assert code == 0
+        assert out == ('{"count": 27, "elements": [%s], "n": 3}\n' % ", ".join(
+            "[%d, %d, %d]" % t for t in itertools.product(range(3), repeat=3)))
+
+    def test_enumerate_json_formats_no_text(self, capsys, monkeypatch):
+        def no_str(self):
+            raise AssertionError("text rendering built for --format json")
+
+        monkeypatch.setattr(heisenberg.HeisenbergElement, "__str__", no_str)
+        code, payload = run_json(capsys, "group", "--n", "3", "--op", "enumerate")
+        assert code == 0
+        assert payload["count"] == 27
+
 
 class TestWord:
     def test_eval(self, capsys):
@@ -128,6 +170,22 @@ class TestWord:
         code, _, err = run(capsys, "word", "--n", "3", "--eval", "xyz")
         assert code == 1
 
+    def test_bad_modulus_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "word", "--n", "0", "--eval", "ab")
+        assert code == 1
+        assert out == ""
+        assert "modulus must be an integer >= 1" in err
+
+    def test_eval_output_pinned(self, capsys):
+        code, out, _ = run(capsys, "word", "--n", "5", "--eval", "abAB")
+        assert code == 0
+        assert out == "in H_n: (0, 0, 1) mod 5; abelianized: ((0, 0),)\n"
+        code, out, _ = run(capsys, "word", "--n", "5", "--eval", "abAB",
+                           "--format", "json")
+        assert code == 0
+        assert out == ('{"abelianization": [0, 0], "heisenberg": [0, 0, 1], '
+                       '"n": 5, "word": "abAB"}\n')
+
 
 class TestGenus:
     def test_heisenberg(self, capsys):
@@ -145,6 +203,14 @@ class TestGenus:
             capsys, "genus", "--rh", "--order", "750", "--indices", "2,3,10")
         assert code == 0
         assert payload["genus"] == 26
+
+    def test_rh_bad_indices_is_usage_error(self, capsys):
+        code, out, err = run(
+            capsys, "genus", "--rh", "--order", "6", "--indices", "2,x")
+        assert code == 1
+        assert out == ""
+        assert "--indices" in err and "comma-separated integers" in err
+        assert "invalid literal" not in err
 
     def test_rh_non_integer_is_math_error(self, capsys):
         code, _, err = run(
@@ -186,6 +252,28 @@ class TestC3:
         code, out, _ = run(capsys, "c3")
         assert code == 0
         assert "11664" in out and "-109296" in out
+
+    # sha256 of stdout, unchanged since the pair classification lines were
+    # added to the text report
+    PINNED = {
+        "text": "524494fb8f9aeb0682feb0365d48f033da82013e8e58129909286788ce6d0edf",
+        "json": "4a5bc677400df07647f79292e739c9c65da63cc372be7a2a14ce2c2a4de5cbc6",
+    }
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_output_pinned(self, capsys, fmt):
+        code, out, _ = run(capsys, "c3", "--format", fmt)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == self.PINNED[fmt]
+
+    def test_json_builds_no_text_report(self, capsys, monkeypatch):
+        def no_text(self):
+            raise AssertionError("text report built for --format json")
+
+        monkeypatch.setattr(elliptic.DerivationReport, "to_text", no_text)
+        code, payload = run_json(capsys, "c3")
+        assert code == 0
+        assert len(payload["rows"]) == 4
 
     def test_text_lists_pair_classifications(self, capsys):
         code, out, _ = run(capsys, "c3")

@@ -1,12 +1,16 @@
+import math
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from heiscurve import words
 from heiscurve.heisenberg import HeisenbergElement
 from heiscurve.words import (
     A,
     B,
     COMMUTATOR,
     Endo,
+    FLIP,
     IDENTITY_ENDO,
     S3_ENDOS,
     Word,
@@ -223,3 +227,186 @@ class TestCommutatorConjugacy:
     def test_non_symmetry_endo_fails(self):
         squaring = Endo(A * A, B)
         assert not nielsen_commutator_check(squaring)
+
+
+# ---------------------------------------------------------------------------
+# Quadratic reference implementations: every product re-reduces from scratch
+# and every power and image is built one factor at a time.
+# ---------------------------------------------------------------------------
+
+
+def oracle_mul(u, v):
+    return Word(u.syllables + v.syllables)
+
+
+def oracle_inverse(w):
+    return Word(tuple((g, -e) for g, e in reversed(w.syllables)))
+
+
+def oracle_pow(w, k):
+    if k < 0:
+        return oracle_pow(oracle_inverse(w), -k)
+    result = Word()
+    for _ in range(k):
+        result = oracle_mul(result, w)
+    return result
+
+
+def oracle_apply(endo, w):
+    result = Word()
+    for g, e in w.syllables:
+        image = endo.image_of_a if g == "a" else endo.image_of_b
+        result = oracle_mul(result, oracle_pow(image, e))
+    return result
+
+
+def oracle_eval(w, n):
+    result = HeisenbergElement.identity(n)
+    for g, e in w.syllables:
+        base = (
+            HeisenbergElement.generator_a(n)
+            if g == "a"
+            else HeisenbergElement.generator_b(n)
+        )
+        result = result * base**e
+    return result
+
+
+def triple(g):
+    return (g.n, g.x, g.y, g.z)
+
+
+# conjugates t c t^-1 exercise the cyclic split and long seam cancellations
+conjugates = st.tuples(raw_words, raw_words).map(
+    lambda tc: oracle_mul(oracle_mul(tc[0], tc[1]), oracle_inverse(tc[0]))
+)
+any_words = st.one_of(raw_words, conjugates)
+exponents = st.integers(-30, 30)
+endo_names = st.sampled_from(sorted(S3_ENDOS))
+
+
+class TestAgainstOracle:
+    @settings(max_examples=200, deadline=None)
+    @given(any_words, any_words)
+    def test_mul(self, u, v):
+        assert (u * v).syllables == oracle_mul(u, v).syllables
+
+    @settings(max_examples=100, deadline=None)
+    @given(any_words, any_words)
+    def test_seam_cancels_fully(self, u, v):
+        assert (u * u.inverse()).syllables == ()
+        assert (u * v * v.inverse()).syllables == u.syllables
+        assert (u.inverse() * (u * v)).syllables == v.syllables
+
+    @settings(max_examples=100, deadline=None)
+    @given(any_words)
+    def test_inverse(self, w):
+        assert w.inverse().syllables == oracle_inverse(w).syllables
+
+    @settings(max_examples=200, deadline=None)
+    @given(any_words, exponents)
+    def test_pow(self, w, k):
+        assert (w**k).syllables == oracle_pow(w, k).syllables
+
+    @pytest.mark.parametrize("k", (-2, -1, 0, 1, 2))
+    def test_pow_of_empty_word(self, k):
+        assert (Word() ** k).syllables == ()
+
+    @pytest.mark.parametrize("k", range(-4, 5))
+    def test_pow_of_fixed_shapes(self, k):
+        for text in ("a", "A^3", "abAB", "aba", "abA", "a^2ba^-5", "abaBA", "ab^2aB^2A^2"):
+            w = Word.from_str(text)
+            assert (w**k).syllables == oracle_pow(w, k).syllables
+
+    @settings(max_examples=100, deadline=None)
+    @given(endo_names, any_words)
+    def test_apply(self, name, w):
+        endo = S3_ENDOS[name]
+        assert endo.apply(w).syllables == oracle_apply(endo, w).syllables
+
+    @pytest.mark.parametrize("name", sorted(S3_ENDOS))
+    def test_apply_to_empty_word(self, name):
+        assert S3_ENDOS[name].apply(Word()).syllables == ()
+
+    @settings(max_examples=50, deadline=None)
+    @given(any_words, any_words, any_words)
+    def test_apply_with_arbitrary_images(self, u, v, w):
+        endo = Endo(u, v)
+        assert endo.apply(w).syllables == oracle_apply(endo, w).syllables
+
+    @settings(max_examples=200, deadline=None)
+    @given(any_words, st.integers(1, 64))
+    def test_eval(self, w, n):
+        assert triple(eval_in_heisenberg(w, n)) == triple(oracle_eval(w, n))
+
+    @settings(max_examples=100, deadline=None)
+    @given(endo_names, any_words, exponents, st.integers(1, 64))
+    def test_eval_of_images_and_powers(self, name, w, k, n):
+        image = S3_ENDOS[name].apply(w**k)
+        expected = oracle_eval(oracle_apply(S3_ENDOS[name], oracle_pow(w, k)), n)
+        assert triple(eval_in_heisenberg(image, n)) == triple(expected)
+
+    @pytest.mark.parametrize("n", (0, -3))
+    def test_eval_bad_modulus(self, n):
+        with pytest.raises(ValueError, match="modulus must be an integer >= 1"):
+            eval_in_heisenberg(COMMUTATOR, n)
+
+    def test_caller_syllables_are_kept(self):
+        syllables = (("a", 2), ("b", -1), ("a", 1))
+        w = Word(syllables)
+        assert all(a is b for a, b in zip(w.syllables, syllables))
+
+    def test_list_syllables_become_tuples(self):
+        w = Word([["a", 2], ["b", -1]])
+        assert w.syllables == (("a", 2), ("b", -1))
+        assert hash(w) == hash(Word((("a", 2), ("b", -1))))
+
+
+class TestCost:
+    """Syllables built per operation, counted deterministically."""
+
+    @staticmethod
+    def built(make):
+        count = [0]
+        real_word, real_reduce = words._word, words._reduce
+
+        def counting_word(syllables):
+            count[0] += len(syllables)
+            return real_word(syllables)
+
+        def counting_reduce(syllables):
+            syllables = tuple(syllables)
+            count[0] += len(syllables)
+            return real_reduce(syllables)
+
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(words, "_word", counting_word)
+            m.setattr(words, "_reduce", counting_reduce)
+            make()
+        return count[0]
+
+    @pytest.mark.parametrize(
+        "make",
+        (lambda k: COMMUTATOR**k, lambda k: FLIP.apply(COMMUTATOR**k)),
+        ids=("commutator_pow", "flip_apply"),
+    )
+    def test_grows_at_most_like_k_log_k(self, make):
+        small = self.built(lambda: make(10**3))
+        large = self.built(lambda: make(10**4))
+        assert small > 0
+        # quadratic growth would give a ratio of 100
+        assert large <= small * 10 * math.log(10**4) / math.log(10**3)
+
+    def test_kernel_generators_at_large_n(self):
+        n = 10**4
+        gens = heisenberg_kernel_generators(n)
+        assert all(in_heisenberg_kernel(w, n) for w in gens)
+        assert gens[0].syllables == (("a", n),)
+        # [a,b] is cyclically reduced, so its powers are plain repetitions
+        assert gens[2].syllables == COMMUTATOR.syllables * n
+        assert gens[2].length() == 4 * n
+
+    def test_flip_image_of_long_power(self):
+        image = FLIP.apply(COMMUTATOR**2000)
+        assert image.syllables == Word.from_str("BAba").syllables * 2000
+        assert image == FLIP.apply(COMMUTATOR) ** 2000

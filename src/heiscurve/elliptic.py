@@ -3,7 +3,7 @@
 Short Weierstrass curves y^2 = x^3 + Ax + B with A, B in Q(sqrt d), the
 chord-tangent group law, 3-torsion via the 3-division polynomial
 3x^4 + 6Ax^2 + 12Bx - A^2, degree-3 isogenies, and isomorphism/twist
-classification by j-invariant and scaling search.
+classification by a twisting scalar.
 
 The degree-3 isogeny with kernel {O, P, -P} uses the one-representative-
 per-pair normalization
@@ -215,36 +215,30 @@ def three_torsion(curve):
     return ThreeTorsion(tuple(points), tuple(kept_roots), missing_y, missing_x)
 
 
-def _check_order_3(curve, p):
+def _velu3(curve, p):
+    """(codomain, t, u) of the 3-isogeny with kernel {O, P, -P}, where
+    u = 4 y0^2 and w = u + x0 t."""
     if p.at_infinity:
         raise BadKernelPoint("kernel generator must be affine")
     if not poly_eval(division_poly_3(curve), p.x).is_zero():
         raise BadKernelPoint("%s is not a 3-torsion point" % (p,))
-
-
-def _velu3_coefficients(curve, p):
     t = 2 * (3 * p.x * p.x + curve.A)
-    w = 4 * p.y * p.y + p.x * t
-    return t, w
+    u = 4 * p.y * p.y
+    return Curve(curve.A - 5 * t, curve.B - 7 * (u + p.x * t)), t, u
 
 
 def velu3(curve, p):
     """Codomain of the 3-isogeny with kernel {O, P, -P}."""
-    _check_order_3(curve, p)
-    t, w = _velu3_coefficients(curve, p)
-    return Curve(curve.A - 5 * t, curve.B - 7 * w)
+    return _velu3(curve, p)[0]
 
 
 def velu3_map(curve, p, q):
     """Image of q under the 3-isogeny with kernel generated by p."""
-    _check_order_3(curve, p)
+    codomain, t, u = _velu3(curve, p)
     if q.curve != curve:
         raise PointNotOnCurve("q does not lie on the domain curve")
-    codomain = velu3(curve, p)
     if q.at_infinity or q.x == p.x:
         return codomain.infinity()
-    t, _w = _velu3_coefficients(curve, p)
-    u = 4 * p.y * p.y
     dx = q.x - p.x
     image_x = q.x + t / dx + u / (dx * dx)
     image_y = q.y * (1 - t / (dx * dx) - 2 * u / (dx * dx * dx))
@@ -252,11 +246,11 @@ def velu3_map(curve, p, q):
 
 
 def aut0_order(curve):
-    """Order of the origin-fixing automorphism group: 6, 4 or 2 by j."""
-    j = j_invariant(curve)
-    if j.is_zero():
+    """Order of the origin-fixing automorphism group: 6 when A = 0 (j = 0),
+    4 when B = 0 (j = 1728), else 2."""
+    if curve.A.is_zero():
         return 6
-    if j == QuadNum.of(1728, curve.d):
+    if curve.B.is_zero():
         return 4
     return 2
 
@@ -273,67 +267,38 @@ class Classification:
         return out
 
 
-def _cube_roots(value):
-    """Solutions g of g^3 = value inside the field."""
-    zero = QuadNum.of(0, value.d)
-    roots, _ = find_field_roots([-value, zero, zero, QuadNum.of(1, value.d)],
-                                value.d)
-    return roots
-
-
-def _sixth_roots(value):
-    """Solutions u of u^6 = value inside the field."""
-    out = []
-    for g in _cube_roots(value):
-        try:
-            u = g.sqrt()
-        except NotASquare:
-            continue
-        out.extend([u, -u])
-    return out
-
-
 def classify_pair(e1, e2):
     """Finest relationship between two curves over their common field.
 
-    Searches u with A2 = u^4 A1, B2 = u^6 B1 (isomorphism over the field);
-    failing that a twisting scalar delta with A2 = delta^2 A1,
-    B2 = delta^3 B1; then falls back to comparing j-invariants.
+    Every relation between curves with the same j is a twisting scalar
+    delta with A2 = delta^2 A1 and B2 = delta^3 B1 (Silverman, X.5).  The
+    pair is isomorphic over the field when some delta is a square u^2, so
+    that A2 = u^4 A1 and B2 = u^6 B1; a quadratic twist when a delta exists
+    but none is a square; and same-j-only when there is no delta.
     """
     if e1.d != e2.d:
         raise ValueError("curves over different fields")
-    if j_invariant(e1) != j_invariant(e2):
+    # equal j exactly when A1^3 B2^2 = A2^3 B1^2
+    if e1.A**3 * e2.B**2 != e2.A**3 * e1.B**2:
         return Classification("distinct-j")
-    if not e1.A.is_zero() and not e1.B.is_zero():
-        ra = e2.A / e1.A  # u^4
-        rb = e2.B / e1.B  # u^6
-        u2 = rb / ra
-        if u2 * u2 == ra and u2**3 == rb:
-            try:
-                return Classification("isomorphic", u2.sqrt())
-            except NotASquare:
-                return Classification("quadratic-twist", u2)
-        return Classification("same-j-only")
-    if e1.A.is_zero():
-        rb = e2.B / e1.B
-        for u in _sixth_roots(rb):
-            if u**6 == rb:
-                return Classification("isomorphic", u)
-        for delta in _cube_roots(rb):
-            return Classification("quadratic-twist", delta)
-        return Classification("same-j-only")
-    # j = 1728: B1 = B2 = 0
-    ra = e2.A / e1.A
-    try:
-        s = ra.sqrt()
-    except NotASquare:
-        return Classification("same-j-only")
-    for candidate in (s, -s):
+    if e1.A.is_zero():  # j = 0: delta^3 = B2/B1
+        deltas = (e2.B / e1.B).cube_roots()
+    elif e1.B.is_zero():  # j = 1728: delta^2 = A2/A1
         try:
-            return Classification("isomorphic", candidate.sqrt())
+            s = (e2.A / e1.A).sqrt()
+            deltas = [s, -s]
+        except NotASquare:
+            deltas = []
+    else:
+        deltas = [(e2.B / e1.B) / (e2.A / e1.A)]
+    for delta in deltas:
+        try:
+            return Classification("isomorphic", delta.sqrt())
         except NotASquare:
             continue
-    return Classification("quadratic-twist", s)
+    if deltas:
+        return Classification("quadratic-twist", deltas[0])
+    return Classification("same-j-only")
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,8 @@ A number is p + q*sqrt(d) with p, q reduced fractions and d a squarefree
 negative integer (default -3, whose ring contains the primitive cube root
 of unity needed downstream).  Real quadratic fields are rejected: the
 square-root case analysis below relies on the norm p^2 - d q^2 being a sum
-of positive terms.
+of positive terms.  Square and cube roots of an element are found in closed
+form from its norm and trace.
 
 Also provides root finding for polynomials of degree <= 4 with coefficients
 in the field, by a p-adic rational-root search (Hensel lifting) plus
@@ -254,6 +255,34 @@ class QuadNum:
         if root.p > 0 or (root.p == 0 and root.q > 0):
             return root
         return -root
+
+    def cube_roots(self):
+        """The distinct c in the field with c^3 = self, rational ones first.
+
+        m = N(c) is the rational cube root of N(self), and t = c + conj(c)
+        is a rational root of T^3 - 3mT - 2p (p the rational part of self),
+        so c = (t +- sqrt(t^2 - 4m))/2.  Each candidate is kept only if its
+        cube is self.
+        """
+        if self.is_zero():
+            return [self]
+        norms = _rational_roots([-self.norm(), 0, 0, 1])
+        if not norms:
+            return []
+        m = norms[0]
+        traces = _rational_roots([-2 * self.p, -3 * m, 0, 1])
+        if self.p == 0:  # _rational_roots leaves out the root t = 0
+            traces.append(_ZERO)
+        roots = []
+        for t in traces:
+            try:
+                s = _quad(t * t - 4 * m, _ZERO, self.d).sqrt()
+            except NotASquare:
+                continue
+            for c in ((t + s) / 2, (t - s) / 2):
+                if c not in roots and c**3 == self:
+                    roots.append(c)
+        return sorted(roots, key=lambda c: not c.is_rational())
 
     def to_json_dict(self):
         return {

@@ -142,14 +142,6 @@ class Word:
     def length(self):
         return sum(abs(e) for _, e in self.syllables)
 
-    def letters(self):
-        """Flat list of single letters, each a (generator, +-1) pair."""
-        out = []
-        for g, e in self.syllables:
-            step = 1 if e > 0 else -1
-            out.extend([(g, step)] * abs(e))
-        return out
-
     def __str__(self):
         if not self.syllables:
             return "1"
@@ -269,36 +261,48 @@ def lifts_to_heisenberg_cover(endo, n):
     )
 
 
-def _letters_inverse(letters):
-    return [(g, -s) for g, s in reversed(letters)]
-
-
-def _cyclic_rotations(letters):
-    for k in range(len(letters)):
-        yield k, letters[k:] + letters[:k]
+def _drop(syllable, k):
+    """The syllable with k of its letters removed."""
+    gen, exp = syllable
+    return (gen, exp - k if exp > 0 else exp + k)
 
 
 def commutator_conjugacy_witness(endo):
     """Unwind endo([a,b]) as T [a,b]^(+-1) T^-1, if possible.
 
-    Strips matched conjugating letters off both ends, then matches the
-    cyclically reduced core against rotations of [a,b] and its inverse.
-    Returns (T, sign) with the verified witness, or None.
+    Strips matched conjugating letters off both ends, a run of letters per
+    step, then matches the cyclically reduced core against rotations of
+    [a,b] and its inverse.  Returns (T, sign) with the verified witness, or
+    None.
     """
     image = endo.apply(COMMUTATOR)
-    letters = image.letters()
-    outer = []
-    while len(letters) >= 2 and letters[0] == (letters[-1][0], -letters[-1][1]):
-        outer.append(letters[0])
-        letters = letters[1:-1]
+    syl = image.syllables
+    i, j = 0, len(syl) - 1
+    left = right = 0  # letters stripped from syl[i] and from syl[j]
+    # while i < j the first and last letters lie in different syllables
+    # and are inverse when they share a generator with opposite signs
+    while i < j and syl[i][0] == syl[j][0] and (syl[i][1] > 0) != (syl[j][1] > 0):
+        k = min(abs(syl[i][1]) - left, abs(syl[j][1]) - right)
+        left += k
+        right += k
+        if left == abs(syl[i][1]):
+            i, left = i + 1, 0
+        if right == abs(syl[j][1]):
+            j, right = j - 1, 0
+    # T starts with the stripped letters: whole syllables, then the first
+    # `left` letters of syl[i]
+    outer = syl[:i] + ((_drop(syl[i], abs(syl[i][1]) - left),) if left else ())
+    middle = list(syl[i : j + 1])
+    if middle:
+        middle[0] = _drop(middle[0], left)
+        middle[-1] = _drop(middle[-1], right)
+    middle = tuple(middle)
     for sign, base in ((1, COMMUTATOR), (-1, COMMUTATOR.inverse())):
-        core = base.letters()
-        if len(letters) != len(core):
-            continue
-        for k, rotated in _cyclic_rotations(core):
-            if letters == rotated:
+        core = base.syllables  # four single letters, so rotations stay reduced
+        for k in range(len(core)):
+            if middle == core[k:] + core[:k]:
                 # rotation by k conjugates by the first k letters of core
-                conj = Word(tuple(outer)) * Word(tuple(core[:k])).inverse()
+                conj = _word(outer) * _word(core[:k]).inverse()
                 if conj * base * conj.inverse() == image:
                     return conj, sign
     return None

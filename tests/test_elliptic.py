@@ -4,7 +4,9 @@ from itertools import product
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from heiscurve import elliptic
 from heiscurve.elliptic import (
+    Classification,
     BadKernelPoint,
     Cubic,
     Curve,
@@ -24,7 +26,14 @@ from heiscurve.elliptic import (
     velu3,
     velu3_map,
 )
-from heiscurve.quadfield import FieldMismatch, QuadNum, find_field_roots, zeta3
+from heiscurve.quadfield import (
+    FieldMismatch,
+    NotASquare,
+    QuadNum,
+    UnsupportedFactorization,
+    find_field_roots,
+    zeta3,
+)
 
 
 def quad(p, q=0):
@@ -53,6 +62,137 @@ def curves_and_x(draw, d):
         return Curve(A, B), x
     except SingularCurve:
         assume(False)
+
+
+FIELDS = (-1, -3, -7)
+FAMILIES = ("generic", "j=0", "j=1728")
+
+
+@st.composite
+def family_curves(draw, d, family):
+    """A nonsingular curve over Q(sqrt d), with A = 0 for j = 0 and B = 0
+    for j = 1728."""
+    zero = QuadNum.of(0, d)
+    A = zero if family == "j=0" else draw(field_elems(d))
+    B = zero if family == "j=1728" else draw(field_elems(d))
+    try:
+        return Curve(A, B)
+    except SingularCurve:
+        assume(False)
+
+
+@st.composite
+def related_pairs(draw):
+    """(E1, E2): E2 is E1 scaled by (u^4, u^6) or by (delta^2, delta^3), or
+    a random curve of the same j family."""
+    d = draw(st.sampled_from(FIELDS))
+    family = draw(st.sampled_from(FAMILIES))
+    e1 = draw(family_curves(d, family))
+    relation = draw(st.sampled_from(("u", "delta", "random")))
+    if relation == "random":
+        return e1, draw(family_curves(d, family))
+    scale = draw(field_elems(d))
+    assume(not scale.is_zero())
+    a, b = (4, 6) if relation == "u" else (2, 3)
+    return e1, Curve(scale**a * e1.A, scale**b * e1.B)
+
+
+# ---------------------------------------------------------------------------
+# Reference classification: the three-branch version that found cube and
+# sixth roots through the quartic root finder.
+# ---------------------------------------------------------------------------
+
+
+def oracle_cube_roots(value):
+    zero = QuadNum.of(0, value.d)
+    roots, _ = find_field_roots([-value, zero, zero, QuadNum.of(1, value.d)],
+                                value.d)
+    return roots
+
+
+def oracle_sixth_roots(value):
+    out = []
+    for g in oracle_cube_roots(value):
+        try:
+            u = g.sqrt()
+        except NotASquare:
+            continue
+        out.extend([u, -u])
+    return out
+
+
+def oracle_classify_pair(e1, e2):
+    if e1.d != e2.d:
+        raise ValueError("curves over different fields")
+    if j_invariant(e1) != j_invariant(e2):
+        return Classification("distinct-j")
+    if not e1.A.is_zero() and not e1.B.is_zero():
+        ra = e2.A / e1.A
+        rb = e2.B / e1.B
+        u2 = rb / ra
+        if u2 * u2 == ra and u2**3 == rb:
+            try:
+                return Classification("isomorphic", u2.sqrt())
+            except NotASquare:
+                return Classification("quadratic-twist", u2)
+        return Classification("same-j-only")
+    if e1.A.is_zero():
+        rb = e2.B / e1.B
+        for u in oracle_sixth_roots(rb):
+            if u**6 == rb:
+                return Classification("isomorphic", u)
+        for delta in oracle_cube_roots(rb):
+            return Classification("quadratic-twist", delta)
+        return Classification("same-j-only")
+    ra = e2.A / e1.A
+    try:
+        s = ra.sqrt()
+    except NotASquare:
+        return Classification("same-j-only")
+    for candidate in (s, -s):
+        try:
+            return Classification("isomorphic", candidate.sqrt())
+        except NotASquare:
+            continue
+    return Classification("quadratic-twist", s)
+
+
+# ---------------------------------------------------------------------------
+# Frobenius traces: reduce a curve at each prime above a split p < 100 and
+# count points by a quadratic-residue sum (Silverman III.4, V.1).
+# ---------------------------------------------------------------------------
+
+PRIMES = [p for p in range(5, 100) if all(p % k for k in range(2, p))]
+
+
+def reduce_mod(x, p, s):
+    """x modulo the prime above p where sqrt d -> s, or None when p divides
+    a denominator of x."""
+    den = x.p.denominator * x.q.denominator
+    if den % p == 0:
+        return None
+    num = x.p.numerator * x.q.denominator + x.q.numerator * x.p.denominator * s
+    return num * pow(den, -1, p) % p
+
+
+def legendre(a, p):
+    a %= p
+    return 0 if a == 0 else 1 if pow(a, (p - 1) // 2, p) == 1 else -1
+
+
+def frobenius_traces(curve):
+    """{(p, s): p + 1 - #E(F_p)} at the primes of good reduction above the
+    split p < 100, the prime above p named by the root s of x^2 = d mod p."""
+    out = {}
+    for p in PRIMES:
+        for s in range(1, p):
+            if (s * s - curve.d) % p:
+                continue
+            a, b = reduce_mod(curve.A, p, s), reduce_mod(curve.B, p, s)
+            if a is None or b is None or (4 * a**3 + 27 * b * b) % p == 0:
+                continue
+            out[p, s] = -sum(legendre(x**3 + a * x + b, p) for x in range(p))
+    return out
 
 
 class TestCurve:
@@ -279,11 +419,54 @@ class TestVelu3:
             )
             assert lhs == rhs
 
+    @settings(max_examples=30, deadline=None)
+    @given(st.sampled_from(FIELDS).flatmap(
+        lambda d: st.tuples(field_elems(d), field_elems(d))))
+    def test_codomain_has_the_domain_point_count(self, wy):
+        # (3w^2, y0) is a flex of y^2 = x^3 + Ax + B when
+        # (A + 3 x0^2)^2 = 12 x0 y0^2, e.g. A = -3 x0^2 + 6 w y0
+        w, y0 = wy
+        assume(not y0.is_zero())
+        x0 = 3 * w * w
+        A = -3 * x0 * x0 + 6 * w * y0
+        try:
+            curve = Curve(A, y0 * y0 - x0**3 - A * x0)
+        except SingularCurve:
+            assume(False)
+        codomain = velu3(curve, curve.point(x0, y0))
+        t1, t2 = frobenius_traces(curve), frobenius_traces(codomain)
+        common = t1.keys() & t2.keys()
+        assert len(common) >= 5
+        assert all(t1[k] == t2[k] for k in common)
+
+    def test_table_codomains_have_the_base_point_count(self):
+        base = frobenius_traces(BASE)
+        for row in derive_isogenous_curves().rows:
+            traces = frobenius_traces(row.codomain)
+            common = base.keys() & traces.keys()
+            assert len(common) >= 10
+            assert all(base[k] == traces[k] for k in common)
+
     def test_rejects_point_off_curve(self):
         kernel_gen = BASE.point(quad(0), quad(0, 12))
         other = Curve.of(0, 16).point(quad(0), quad(4))
         with pytest.raises(PointNotOnCurve):
             velu3_map(BASE, kernel_gen, other)
+
+    def test_map_checks_the_kernel_once(self, monkeypatch):
+        calls = []
+        real = elliptic.poly_eval
+
+        def counting(coeffs, x):
+            calls.append(x)
+            return real(coeffs, x)
+
+        kernel_gen = BASE.point(quad(0), quad(0, 12))
+        codomain = velu3(BASE, kernel_gen)
+        monkeypatch.setattr(elliptic, "poly_eval", counting)
+        image = velu3_map(BASE, kernel_gen, BASE.point(quad(12), quad(36)))
+        assert image.curve == codomain
+        assert calls == [kernel_gen.x]
 
 
 class TestClassification:
@@ -320,12 +503,78 @@ class TestClassification:
             if classify_pair(e1, e2).kind == "isomorphic":
                 assert j_invariant(e1) == j_invariant(e2)
 
+    @settings(max_examples=150, deadline=None)
+    @given(related_pairs())
+    def test_matches_oracle(self, pair):
+        e1, e2 = pair
+        result = classify_pair(e1, e2)
+        try:
+            expected = oracle_classify_pair(e1, e2)
+        except UnsupportedFactorization:
+            # the oracle cannot take irrational cube roots; check the
+            # verdict's scale by its defining equations instead
+            scale = result.scale
+            if result.kind == "isomorphic":
+                assert scale**4 * e1.A == e2.A and scale**6 * e1.B == e2.B
+            elif result.kind == "quadratic-twist":
+                assert scale**2 * e1.A == e2.A and scale**3 * e1.B == e2.B
+                with pytest.raises(NotASquare):
+                    scale.sqrt()
+            else:
+                assert result.kind == "same-j-only"
+            return
+        assert result == expected
+
+    # j = 0 pairs whose B-ratio is irrational, which the oracle cannot split
+    def test_j_zero_irrational_ratio_isomorphic(self):
+        u = quad(2, 1)
+        e2 = Curve(quad(0), u**6)
+        result = classify_pair(Curve.of(0, 1), e2)
+        assert result.kind == "isomorphic"
+        assert result.scale**6 == e2.B
+
+    def test_j_zero_irrational_ratio_twist(self):
+        delta = quad(2, 1)  # norm 7: not a square
+        e2 = Curve(quad(0), delta**3)
+        result = classify_pair(Curve.of(0, 1), e2)
+        assert result.kind == "quadratic-twist"
+        assert result.scale**3 == e2.B
+
+    def test_j_zero_irrational_ratio_same_j_only(self):
+        e2 = Curve(QuadNum(0, 0), QuadNum(1, 1))  # norm 4: not a cube
+        assert classify_pair(Curve.of(0, 1), e2) == Classification("same-j-only")
+
+    @settings(max_examples=40, deadline=None)
+    @given(related_pairs())
+    def test_verdict_agrees_with_frobenius_traces(self, pair):
+        e1, e2 = pair
+        result = classify_pair(e1, e2)
+        assume(result.kind in ("isomorphic", "quadratic-twist"))
+        t1, t2 = frobenius_traces(e1), frobenius_traces(e2)
+        compared = 0
+        for (p, s), trace in t1.items():
+            scale = reduce_mod(result.scale, p, s)
+            if (p, s) not in t2 or not scale:
+                continue
+            sign = 1 if result.kind == "isomorphic" else legendre(scale, p)
+            assert t2[p, s] == sign * trace
+            compared += 1
+        assert compared >= 5
+
 
 class TestAut0Order:
     def test_values(self):
         assert aut0_order(ROW_CURVES[0]) == 6
         assert aut0_order(ROW_CURVES[3]) == 2
         assert aut0_order(Curve.of(1, 0)) == 4
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.sampled_from(FIELDS), st.sampled_from(FAMILIES), st.data())
+    def test_read_off_j(self, d, family, data):
+        curve = data.draw(family_curves(d, family))
+        j = j_invariant(curve)
+        expected = 6 if j.is_zero() else 4 if j == 1728 else 2
+        assert aut0_order(curve) == expected
 
 
 class TestDerivation:
@@ -366,3 +615,19 @@ class TestDerivation:
             derive_isogenous_curves(d)
         assert isinstance(info.value, ArithmeticError)
         assert (info.value.d, info.value.j_zero_rows) == (d, 0)
+
+
+class TestCubeRootsAgainstOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from(FIELDS).flatmap(
+        lambda d: st.tuples(field_elems(d), field_elems(d), st.booleans())))
+    def test_same_roots_where_the_oracle_answers(self, drawn):
+        c, other, planted = drawn
+        value = c**3 if planted else other
+        assume(not value.is_zero())
+        try:
+            expected = oracle_cube_roots(value)
+        except UnsupportedFactorization:
+            assert all(r**3 == value for r in value.cube_roots())
+            return
+        assert value.cube_roots() == expected

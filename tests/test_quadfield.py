@@ -4,7 +4,7 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from heiscurve import quadfield
 from heiscurve.quadfield import (
@@ -272,6 +272,56 @@ class TestSqrt:
         assert rational_sqrt(Fraction(9, 4)) == Fraction(3, 2)
         assert rational_sqrt(Fraction(2)) is None
         assert rational_sqrt(Fraction(-1)) is None
+
+
+class TestCubeRoots:
+    def test_rational_root_first(self):
+        assert quad(8).cube_roots() == [quad(2), quad(-1, 1), quad(-1, -1)]
+        assert quad(8, 0, -1).cube_roots() == [quad(2, 0, -1)]
+
+    def test_zero_trace_root(self):
+        # sqrt(d) has trace 0; the trace cubic then has the root t = 0,
+        # which the rational-root search does not report
+        assert quad(0, -1, -1).cube_roots() == [quad(0, 1, -1)]
+        assert quad(0, 1) in quad(0, -3).cube_roots()
+
+    def test_conjugate_is_not_a_root(self):
+        # 1 + 3i and 1 - 3i share the trace 2 and the norm 10, but only
+        # the first cubes to -26 - 18i
+        assert quad(-26, -18, -1).cube_roots() == [quad(1, 3, -1)]
+
+    def test_no_root(self):
+        assert quad(2).cube_roots() == []
+        assert quad(1, 1).cube_roots() == []  # norm 4 is not a cube
+
+    def test_zero(self):
+        assert quad(0).cube_roots() == [quad(0)]
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.sampled_from((-1, -3, -7)).flatmap(
+        lambda d: st.tuples(rationals, rationals, st.just(d))))
+    def test_planted_root_found(self, pqd):
+        c = quad(*pqd)
+        roots = (c**3).cube_roots()
+        assert c in roots
+        assert len(set(roots)) == len(roots) <= 3
+        assert all(r**3 == c**3 for r in roots)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from((-1, -3, -7)), rationals, rationals,
+           st.sampled_from(("planted", "random", "p = 0, planted", "p = 0")))
+    def test_root_count_matches_sympy(self, d, p, q, shape):
+        sympy = pytest.importorskip("sympy")
+        c, pure = quad(p, q, d), quad(0, q, d)
+        value = {"planted": c**3, "random": c,
+                 "p = 0, planted": pure**3, "p = 0": pure}[shape]
+        assume(not value.is_zero())
+        x = sympy.Symbol("x")
+        v = (sympy.Rational(value.p.numerator, value.p.denominator)
+             + sympy.Rational(value.q.numerator, value.q.denominator) * sympy.sqrt(d))
+        factors = sympy.Poly(x**3 - v, x, extension=sympy.sqrt(d)).factor_list()[1]
+        linear = sum(m for f, m in factors if f.degree() == 1)
+        assert len(value.cube_roots()) == linear
 
 
 class TestSerialization:

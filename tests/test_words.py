@@ -362,6 +362,76 @@ class TestAgainstOracle:
         assert hash(w) == hash(Word((("a", 2), ("b", -1))))
 
 
+def oracle_witness(endo):
+    """The letter-by-letter witness search: strip one matched letter pair at
+    a time off a flat letter list, then compare with rotations of [a,b]."""
+
+    def letters(word):
+        return [(g, 1 if e > 0 else -1) for g, e in word.syllables for _ in range(abs(e))]
+
+    image = endo.apply(COMMUTATOR)
+    flat = letters(image)
+    outer = []
+    while len(flat) >= 2 and flat[0] == (flat[-1][0], -flat[-1][1]):
+        outer.append(flat[0])
+        flat = flat[1:-1]
+    for sign, base in ((1, COMMUTATOR), (-1, COMMUTATOR.inverse())):
+        core = letters(base)
+        if len(flat) != len(core):
+            continue
+        for k in range(len(core)):
+            if flat == core[k:] + core[:k]:
+                conj = Word(tuple(outer)) * Word(tuple(core[:k])).inverse()
+                if conj * base * conj.inverse() == image:
+                    return conj, sign
+    return None
+
+
+def witness_key(witness):
+    return None if witness is None else (witness[0].syllables, witness[1])
+
+
+def composed_endo(sequence):
+    endo = IDENTITY_ENDO
+    for name in sequence:
+        endo = S3_ENDOS[name].compose(endo)
+    return endo
+
+
+def conjugated(endo, t):
+    """endo followed by the inner automorphism w -> t w t^-1."""
+    return Endo(t * endo.image_of_a * t.inverse(), t * endo.image_of_b * t.inverse())
+
+
+involution_sequences = st.lists(st.sampled_from(("i1", "i2")), max_size=6)
+
+
+class TestWitnessAgainstOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(involution_sequences, any_words)
+    def test_conjugated_automorphisms(self, sequence, t):
+        endo = conjugated(composed_endo(sequence), t)
+        witness = commutator_conjugacy_witness(endo)
+        assert witness is not None
+        assert witness_key(witness) == witness_key(oracle_witness(endo))
+
+    @settings(max_examples=150, deadline=None)
+    @given(any_words, any_words)
+    def test_arbitrary_endomorphisms(self, u, v):
+        endo = Endo(u, v)
+        assert witness_key(commutator_conjugacy_witness(endo)) == witness_key(
+            oracle_witness(endo))
+
+    @pytest.mark.parametrize("name", sorted(S3_ENDOS))
+    def test_six_symmetries(self, name):
+        endo = S3_ENDOS[name]
+        assert witness_key(commutator_conjugacy_witness(endo)) == witness_key(
+            oracle_witness(endo))
+
+    def test_trivial_image(self):
+        assert commutator_conjugacy_witness(Endo(A, A)) is None
+
+
 class TestCost:
     """Syllables built per operation, counted deterministically."""
 
@@ -395,6 +465,16 @@ class TestCost:
         large = self.built(lambda: make(10**4))
         assert small > 0
         # quadratic growth would give a ratio of 100
+        assert large <= small * 10 * math.log(10**4) / math.log(10**3)
+
+    def test_witness_grows_linearly_in_the_conjugator(self):
+        def make(n):
+            t = Word.from_str("ab^2A^3B") ** (n // 7)  # about n letters
+            return lambda: commutator_conjugacy_witness(conjugated(FLIP, t))
+
+        small = self.built(make(10**3))
+        large = self.built(make(10**4))
+        assert small > 0
         assert large <= small * 10 * math.log(10**4) / math.log(10**3)
 
     def test_kernel_generators_at_large_n(self):

@@ -364,6 +364,7 @@ _MATH_ERRORS = (
     elliptic.PointNotOnCurve,
     elliptic.BadKernelPoint,
     elliptic.NoUniqueJZeroCodomain,
+    elliptic.ZeroHessian,
     quadfield.NotASquare,
     quadfield.UnsupportedFactorization,
     heisenberg.EnumerationBoundExceeded,

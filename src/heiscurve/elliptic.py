@@ -26,7 +26,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
+from math import lcm
 
 from .quadfield import (
     DEFAULT_D,
@@ -60,6 +61,14 @@ class NoUniqueJZeroCodomain(ArithmeticError):
             "expected exactly one" % (d, j_zero_rows))
         self.d = d
         self.j_zero_rows = j_zero_rows
+
+
+class ZeroHessian(ArithmeticError):
+    """The Hessian of a cubic vanishes identically (the cubic is a cone)."""
+
+    def __init__(self, cubic):
+        super().__init__("the Hessian of %s vanishes identically" % cubic)
+        self.cubic = cubic
 
 
 @dataclass(frozen=True)
@@ -159,16 +168,21 @@ def point_add(p, q):
 
 
 def scalar_mul(p, k):
+    """k * p by double-and-add from the lowest set bit of k, with no
+    doubling after the top bit."""
     if k < 0:
         return scalar_mul(-p, -k)
-    result = p.curve.infinity()
+    if k == 0:
+        return p.curve.infinity()
+    result = None
     addend = p
-    while k:
+    while True:
         if k & 1:
-            result = point_add(result, addend)
-        addend = point_add(addend, addend)
+            result = addend if result is None else point_add(result, addend)
         k >>= 1
-    return result
+        if not k:
+            return result
+        addend = point_add(addend, addend)
 
 
 def division_poly_3(curve):
@@ -305,6 +319,9 @@ def classify_pair(e1, e2):
 # Homogeneous cubics over Q and the Hessian determinant.
 # ---------------------------------------------------------------------------
 
+_MONOMIALS = frozenset((i, j, 3 - i - j) for i in range(4) for j in range(4 - i))
+
+
 @dataclass(frozen=True)
 class Cubic:
     """Homogeneous degree-3 polynomial in X, Y, Z with rational coefficients,
@@ -316,8 +333,9 @@ class Cubic:
         cleaned = {}
         for (i, j, k), c in dict(self.coeffs).items():
             c = Fraction(c)
-            if i + j + k != 3:
-                raise ValueError("monomial (%d,%d,%d) is not degree 3" % (i, j, k))
+            if (i, j, k) not in _MONOMIALS:
+                raise ValueError("monomial %r is not degree 3 in nonnegative "
+                                 "integer exponents" % ((i, j, k),))
             if c != 0:
                 cleaned[(i, j, k)] = c
         if not cleaned:
@@ -344,52 +362,60 @@ class Cubic:
         return " + ".join(terms)
 
 
-def _poly_scale(poly, factor):
-    return {m: c * factor for m, c in poly.items() if c * factor != 0}
+def _second_partials(mono):
+    """(r, s, t, f) for r <= s: d^2/dv_r dv_s of the monomial is f * v_t."""
+    out = []
+    for r in range(3):
+        for s in range(r, 3):
+            e = list(mono)
+            f = e[r]
+            e[r] -= 1
+            f *= e[s]
+            e[s] -= 1
+            if f:
+                out.append((r, s, e.index(1), f))
+    return tuple(out)
 
 
-def _poly_add(p1, p2):
-    out = dict(p1)
-    for m, c in p2.items():
-        out[m] = out.get(m, Fraction(0)) + c
-        if out[m] == 0:
-            del out[m]
-    return out
-
-
-def _poly_mul(p1, p2):
-    out = {}
-    for m1, c1 in p1.items():
-        for m2, c2 in p2.items():
-            m = tuple(a + b for a, b in zip(m1, m2))
-            out[m] = out.get(m, Fraction(0)) + c1 * c2
-            if out[m] == 0:
-                del out[m]
-    return out
-
-
-def _poly_diff(poly, var):
-    out = {}
-    for m, c in poly.items():
-        if m[var] == 0:
-            continue
-        new = list(m)
-        new[var] -= 1
-        out[tuple(new)] = c * m[var]
-    return out
+_SECOND_PARTIALS = {m: _second_partials(m) for m in _MONOMIALS}
+# ((i, j, k), m): the product u_i v_j w_k of variables has exponent triple m
+_LINEAR_PRODUCTS = tuple(
+    (ijk, tuple(ijk.count(v) for v in range(3)))
+    for ijk in product(range(3), repeat=3)
+)
 
 
 def hessian(cubic):
-    """Determinant of the matrix of second partials, as another cubic."""
-    poly = cubic.as_dict()
-    second = [[_poly_diff(_poly_diff(poly, i), j) for j in range(3)] for i in range(3)]
+    """Determinant of the matrix of second partials, as another cubic.
+
+    With L the lcm of the coefficient denominators, L*F has integer
+    coefficients, so each second partial of L*F is an integer linear form.
+    det H(L*F) = L^3 det H(F) is expanded in integers and divided by L^3
+    once per monomial.  Raises ZeroHessian when the determinant vanishes
+    identically (the cubic is a cone).
+    """
+    scale = lcm(*(c.denominator for _, c in cubic.coeffs))
+    H = [[[0, 0, 0] for _ in range(3)] for _ in range(3)]
+    for mono, coeff in cubic.coeffs:
+        n = coeff.numerator * (scale // coeff.denominator)
+        for r, s, t, f in _SECOND_PARTIALS[mono]:
+            H[r][s][t] += f * n
+    for r, s in ((0, 1), (0, 2), (1, 2)):
+        H[s][r] = H[r][s]
     det = {}
     for sign, (a, b, c) in (
         (1, (0, 1, 2)), (1, (1, 2, 0)), (1, (2, 0, 1)),
         (-1, (0, 2, 1)), (-1, (1, 0, 2)), (-1, (2, 1, 0)),
     ):
-        term = _poly_mul(_poly_mul(second[0][a], second[1][b]), second[2][c])
-        det = _poly_add(det, _poly_scale(term, Fraction(sign)))
+        u, v, w = H[0][a], H[1][b], H[2][c]
+        for (i, j, k), mono in _LINEAR_PRODUCTS:
+            term = u[i] * v[j] * w[k]
+            if term:
+                det[mono] = det.get(mono, 0) + sign * term
+    cube = scale**3
+    det = {m: Fraction(n, cube) for m, n in det.items() if n}
+    if not det:
+        raise ZeroHessian(cubic)
     return Cubic.from_dict(det)
 
 

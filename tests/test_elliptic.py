@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 from itertools import product
 
@@ -11,8 +12,10 @@ from heiscurve.elliptic import (
     Cubic,
     Curve,
     NoUniqueJZeroCodomain,
+    Point,
     PointNotOnCurve,
     SingularCurve,
+    ZeroHessian,
     aut0_order,
     classify_pair,
     derive_isogenous_curves,
@@ -158,6 +161,83 @@ def oracle_classify_pair(e1, e2):
 
 
 # ---------------------------------------------------------------------------
+# Reference Hessian: the determinant expanded with dict polynomials of
+# Fractions keyed by exponent triples.
+# ---------------------------------------------------------------------------
+
+
+def _poly_scale(poly, factor):
+    return {m: c * factor for m, c in poly.items() if c * factor != 0}
+
+
+def _poly_add(p1, p2):
+    out = dict(p1)
+    for m, c in p2.items():
+        out[m] = out.get(m, Fraction(0)) + c
+        if out[m] == 0:
+            del out[m]
+    return out
+
+
+def _poly_mul(p1, p2):
+    out = {}
+    for m1, c1 in p1.items():
+        for m2, c2 in p2.items():
+            m = tuple(a + b for a, b in zip(m1, m2))
+            out[m] = out.get(m, Fraction(0)) + c1 * c2
+            if out[m] == 0:
+                del out[m]
+    return out
+
+
+def _poly_diff(poly, var):
+    out = {}
+    for m, c in poly.items():
+        if m[var] == 0:
+            continue
+        new = list(m)
+        new[var] -= 1
+        out[tuple(new)] = c * m[var]
+    return out
+
+
+def oracle_hessian_dict(cubic):
+    """The Hessian determinant as a dict; empty when it vanishes."""
+    poly = cubic.as_dict()
+    second = [[_poly_diff(_poly_diff(poly, i), j) for j in range(3)] for i in range(3)]
+    det = {}
+    for sign, (a, b, c) in (
+        (1, (0, 1, 2)), (1, (1, 2, 0)), (1, (2, 0, 1)),
+        (-1, (0, 2, 1)), (-1, (1, 0, 2)), (-1, (2, 1, 0)),
+    ):
+        term = _poly_mul(_poly_mul(second[0][a], second[1][b]), second[2][c])
+        det = _poly_add(det, _poly_scale(term, Fraction(sign)))
+    return det
+
+
+MONOMIALS = tuple((i, j, 3 - i - j) for i in range(4) for j in range(4 - i))
+
+cubics = st.dictionaries(
+    st.sampled_from(MONOMIALS),
+    st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**3)
+    .filter(bool),
+    min_size=1, max_size=10,
+).map(Cubic.from_dict)
+
+
+@st.composite
+def points_on_curves(draw):
+    """A point (x0, y0) over Q(sqrt -3) on y^2 = x^3 + Ax + B with
+    B = y0^2 - x0^3 - A x0."""
+    x0, y0, A = draw(field_elems(-3)), draw(field_elems(-3)), draw(field_elems(-3))
+    try:
+        curve = Curve(A, y0 * y0 - x0**3 - A * x0)
+    except SingularCurve:
+        assume(False)
+    return Point(curve, x0, y0)
+
+
+# ---------------------------------------------------------------------------
 # Frobenius traces: reduce a curve at each prime above a split p < 100 and
 # count points by a quadratic-residue sum (Silverman III.4, V.1).
 # ---------------------------------------------------------------------------
@@ -284,6 +364,29 @@ class TestHessian:
         with pytest.raises(ValueError):
             Cubic.from_dict({(2, 0, 0): 1})
 
+    @pytest.mark.parametrize("mono", [(4, -1, 0), (1.5, 1.5, 0)])
+    def test_exponents_must_be_nonnegative_integers(self, mono):
+        with pytest.raises(ValueError, match=re.escape(repr(mono))):
+            Cubic.from_dict({mono: 1, (1, 1, 1): 2})
+
+    @pytest.mark.parametrize("coeffs", [{(3, 0, 0): 1, (0, 3, 0): 1},
+                                        {(3, 0, 0): 1}])
+    def test_cone_has_zero_hessian(self, coeffs):
+        cubic = Cubic.from_dict(coeffs)
+        with pytest.raises(ZeroHessian, match="x\\^3") as info:
+            hessian(cubic)
+        assert info.value.cubic == cubic
+
+    @settings(max_examples=300, deadline=None)
+    @given(cubics)
+    def test_matches_dict_polynomial_oracle(self, cubic):
+        expected = oracle_hessian_dict(cubic)
+        if not expected:
+            with pytest.raises(ZeroHessian):
+                hessian(cubic)
+        else:
+            assert hessian(cubic) == Cubic.from_dict(expected)
+
 
 class TestThreeTorsion:
     def test_division_polynomial_roots(self):
@@ -356,6 +459,48 @@ class TestGroupLaw:
     def test_doubling_negates_order_3_points(self):
         p = BASE.point(quad(12), quad(36))
         assert scalar_mul(p, 2) == -p
+
+    @staticmethod
+    def repeated_add(p, k):
+        step = p if k >= 0 else -p
+        result = p.curve.infinity()
+        for _ in range(abs(k)):
+            result = point_add(result, step)
+        return result
+
+    @settings(max_examples=60, deadline=None)
+    @given(points_on_curves(), st.integers(-12, 12))
+    def test_scalar_mul_matches_repeated_addition(self, p, k):
+        assert scalar_mul(p, k) == self.repeated_add(p, k)
+
+    def test_scalar_mul_on_torsion_matches_repeated_addition(self):
+        for p in three_torsion(BASE).points:
+            for k in range(-12, 13):
+                assert scalar_mul(p, k) == self.repeated_add(p, k)
+
+    @staticmethod
+    def counted_scalar_mul(monkeypatch, p, k):
+        """k * p, and the doublings and other additions it made, counting
+        only additions with no operand at infinity."""
+        counts = {"double": 0, "add": 0}
+
+        def counting_add(a, b):
+            if not (a.at_infinity or b.at_infinity):
+                counts["double" if a == b else "add"] += 1
+            return point_add(a, b)
+
+        monkeypatch.setattr(elliptic, "point_add", counting_add)
+        return scalar_mul(p, k), counts
+
+    def test_scalar_mul_cost(self, monkeypatch):
+        p = Curve.of(-2, 5).point(1, 2)
+        for m in range(1, 6):
+            result, counts = self.counted_scalar_mul(monkeypatch, p, 2**m)
+            assert result == self.repeated_add(p, 2**m)
+            assert counts == {"double": m, "add": 0}
+        result, counts = self.counted_scalar_mul(monkeypatch, p, 3)
+        assert result == self.repeated_add(p, 3)
+        assert counts == {"double": 1, "add": 1}
 
     def test_associativity_on_torsion(self):
         pts = self.torsion_points()

@@ -245,7 +245,7 @@ def _run_word(args):
         _emit(fmt,
               lambda: {"word": str(w), "n": n, "heisenberg": [g.x, g.y, g.z],
                        "abelianization": list(ab)},
-              lambda: "in H_n: %s; abelianized: %s" % (g, (ab,)))
+              lambda: "in H_n: %s; abelianized: %s" % (g, ab))
         return 0
     raise CliError("word requires one of --eval/--kernel/--lift/--nielsen")
 

@@ -263,8 +263,12 @@ def audit_signature_claims(n_max=12):
     consistent variant is (2,3,2n).  Likewise the (2,n,2n) normalizer
     signature for odd n is recorded next to the consistent (2,3,2n): the
     order 6n^3 matches only the latter.  Both tensions are reported as
-    verdicts, not adjudicated.
+    verdicts, not adjudicated.  The first claim is at n = 3, so n_max < 3
+    raises ValueError.
     """
+    if n_max < 3:
+        raise ValueError("n_max must be at least 3, the smallest n with a "
+                         "recorded claim; got %r" % (n_max,))
     verdicts = []
     for n in range(4, n_max + 1):
         verdicts.append(

@@ -71,18 +71,39 @@ class ZeroHessian(ArithmeticError):
         self.cubic = cubic
 
 
+def _pair_mul(u0, u1, v0, v1, d):
+    """(u0 + u1 sqrt d)(v0 + v1 sqrt d) as an integer pair."""
+    return u0 * v0 + d * u1 * v1, u0 * v1 + u1 * v0
+
+
 @dataclass(frozen=True)
 class Curve:
-    """y^2 = x^3 + Ax + B over Q(sqrt d)."""
+    """y^2 = x^3 + Ax + B over Q(sqrt d).
+
+    The constructor and contains() clear the denominators of their
+    equations and compare integer pairs, with A = (a0 + a1 sqrt d)/mA and
+    B = (b0 + b1 sqrt d)/mB kept by the curve: neither multiplies in the
+    field.
+    """
 
     A: QuadNum
     B: QuadNum
 
     def __post_init__(self):
-        if self.A.d != self.B.d:
-            raise FieldMismatch(self.A.d, self.B.d)
-        if self.discriminant().is_zero():
+        A, B = self.A, self.B
+        d = A.d
+        if B.d != d:
+            raise FieldMismatch(d, B.d)
+        a0, a1, ma = A._ints()
+        b0, b1, mb = B._ints()
+        # 4A^3 + 27B^2 = 0, times mA^3 mB^2
+        s0, s1 = _pair_mul(a0, a1, a0, a1, d)
+        c0, c1 = _pair_mul(s0, s1, a0, a1, d)
+        t0, t1 = _pair_mul(b0, b1, b0, b1, d)
+        u, v = 4 * mb * mb, 27 * ma * ma * ma
+        if u * c0 + v * t0 == 0 and u * c1 + v * t1 == 0:
             raise SingularCurve("4A^3 + 27B^2 = 0")
+        object.__setattr__(self, "_coeff_ints", (a0, a1, ma, b0, b1, mb))
 
     @classmethod
     def of(cls, a, b, d=DEFAULT_D):
@@ -99,13 +120,27 @@ class Curve:
         return (x * x + self.A) * x + self.B
 
     def contains(self, x, y):
-        return y * y == self.rhs(x)
+        d = self.d
+        x0, x1, mx = QuadNum.of(x, d)._ints()
+        y0, y1, my = QuadNum.of(y, d)._ints()
+        a0, a1, ma, b0, b1, mb = self._coeff_ints
+        # y^2 = x^3 + Ax + B, times my^2 mx^3 mA mB
+        s0, s1 = _pair_mul(x0, x1, x0, x1, d)
+        c0, c1 = _pair_mul(s0, s1, x0, x1, d)
+        l0, l1 = _pair_mul(a0, a1, x0, x1, d)
+        y0, y1 = _pair_mul(y0, y1, y0, y1, d)
+        my2, mx2 = my * my, mx * mx
+        lhs = mx2 * mx * ma * mb
+        cubic, linear = my2 * ma * mb, my2 * mx2 * mb
+        const = my2 * mx2 * mx * ma
+        return (y0 * lhs == c0 * cubic + l0 * linear + b0 * const
+                and y1 * lhs == c1 * cubic + l1 * linear + b1 * const)
 
     def infinity(self):
         return Point(self, None, None, True)
 
     def point(self, x, y):
-        return Point(self, QuadNum.of(x, self.d), QuadNum.of(y, self.d))
+        return Point(self, x, y)
 
     def to_json_dict(self):
         return {"A": self.A.to_json_dict(), "B": self.B.to_json_dict()}
@@ -129,6 +164,10 @@ class Point:
     def __post_init__(self):
         if self.at_infinity:
             return
+        if not isinstance(self.x, QuadNum):
+            object.__setattr__(self, "x", QuadNum.of(self.x, self.curve.d))
+        if not isinstance(self.y, QuadNum):
+            object.__setattr__(self, "y", QuadNum.of(self.y, self.curve.d))
         if not self.curve.contains(self.x, self.y):
             raise PointNotOnCurve("(%s, %s) not on %s" % (self.x, self.y, self.curve))
 

@@ -17,7 +17,7 @@ factors of degree <= 2 over the field raise UnsupportedFactorization.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 
 DEFAULT_D = -3
 
@@ -214,6 +214,15 @@ class QuadNum:
         if not self.q:
             return hash(self.p)
         return hash((self.p, self.q, self.d))
+
+    def _ints(self):
+        """Integers (a, b, m) with self = (a + b*sqrt(d))/m and m > 0."""
+        p, q = self.p, self.q
+        pd, qd = p.denominator, q.denominator
+        if pd == qd:
+            return p.numerator, q.numerator, pd
+        m = lcm(pd, qd)
+        return p.numerator * (m // pd), q.numerator * (m // qd), m
 
     def is_zero(self):
         return self.p == 0 and self.q == 0

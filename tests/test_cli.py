@@ -179,7 +179,7 @@ class TestWord:
     def test_eval_output_pinned(self, capsys):
         code, out, _ = run(capsys, "word", "--n", "5", "--eval", "abAB")
         assert code == 0
-        assert out == "in H_n: (0, 0, 1) mod 5; abelianized: ((0, 0),)\n"
+        assert out == "in H_n: (0, 0, 1) mod 5; abelianized: (0, 0)\n"
         code, out, _ = run(capsys, "word", "--n", "5", "--eval", "abAB",
                            "--format", "json")
         assert code == 0
@@ -231,6 +231,14 @@ class TestAudit:
         assert first == second
         assert any(not row["consistent"] for row in first)
         assert any(row["consistent"] for row in first)
+
+    @pytest.mark.parametrize("n_max", ["2", "0", "-5"])
+    def test_n_max_without_claims_is_usage_error(self, capsys, n_max):
+        # regression: used to print an empty line and exit 0
+        code, out, err = run(capsys, "audit", "--n-max", n_max)
+        assert code == 1
+        assert out == ""
+        assert "n_max" in err and n_max in err
 
     def test_small_n_max_all_consistent_rows_present(self, capsys):
         code, payload = run_json(capsys, "audit", "--n-max", "4")

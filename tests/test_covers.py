@@ -245,6 +245,12 @@ class TestAudit:
             else:
                 assert v.consistent, v.claim
 
+    def test_smallest_n_max(self):
+        assert [v.claim for v in audit_signature_claims(3)] == [
+            "Heisenberg tower signature (n,n,n), odd n=3"]
+        with pytest.raises(ValueError, match="n_max"):
+            audit_signature_claims(2)
+
     def test_deterministic(self):
         first = [v.to_json_dict() for v in audit_signature_claims(10)]
         second = [v.to_json_dict() for v in audit_signature_claims(10)]

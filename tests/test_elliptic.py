@@ -238,6 +238,50 @@ def points_on_curves(draw):
 
 
 # ---------------------------------------------------------------------------
+# Reference curve checks: the field-arithmetic expressions that Curve and
+# Curve.contains evaluated before they cleared denominators.
+# ---------------------------------------------------------------------------
+
+
+def oracle_singular(A, B):
+    return (4 * A**3 + 27 * B**2).is_zero()
+
+
+def oracle_contains(A, B, x, y):
+    return y * y == (x * x + A) * x + B
+
+
+INT_CHECK_FIELDS = (-1, -3, -1000003)
+
+
+def wide_field_elems(d):
+    """Elements of Q(sqrt d) with numerators and denominators up to 10^6."""
+    rationals = st.builds(Fraction, st.integers(-10**6, 10**6),
+                          st.integers(1, 10**6))
+    return st.builds(lambda p, q: QuadNum(p, q, d), rationals, rationals)
+
+
+@st.composite
+def curve_equations(draw):
+    """(A, B, x, y) with y^2 = x^3 + Ax + B, or one unit off in one
+    component of x or of y, or with y conjugated, which keeps the rational
+    part of y^2; B = y0^2 - x0^3 - A x0 may be singular."""
+    d = draw(st.sampled_from(INT_CHECK_FIELDS))
+    A, x0, y0 = (draw(wide_field_elems(d)) for _ in range(3))
+    B = y0 * y0 - x0**3 - A * x0
+    root = QuadNum.root(d)
+    unit = draw(st.sampled_from([0, 1, -1, root, -root]))
+    change = draw(st.sampled_from(["x", "y", "conjugate y"]))
+    if change == "x":
+        x0 = x0 + unit
+    elif change == "y":
+        y0 = y0 + unit
+    else:
+        y0 = y0.conjugate()
+    return A, B, x0, y0
+
+
+# ---------------------------------------------------------------------------
 # Frobenius traces: reduce a curve at each prime above a split p < 100 and
 # count points by a quadratic-residue sum (Silverman III.4, V.1).
 # ---------------------------------------------------------------------------
@@ -305,6 +349,83 @@ class TestCurve:
             BASE.point(quad(1), quad(1))
         p = BASE.point(quad(12), quad(36))
         assert not p.at_infinity
+
+
+class TestIntegerChecks:
+    @settings(max_examples=200, deadline=None)
+    @given(curve_equations())
+    def test_agree_with_the_field_arithmetic(self, equation):
+        A, B, x, y = equation
+        if oracle_singular(A, B):
+            with pytest.raises(SingularCurve):
+                Curve(A, B)
+            return
+        curve = Curve(A, B)
+        on_curve = oracle_contains(A, B, x, y)
+        assert curve.contains(x, y) is on_curve
+        if on_curve:
+            assert Point(curve, x, y).y == y
+        else:
+            with pytest.raises(PointNotOnCurve):
+                Point(curve, x, y)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.sampled_from(INT_CHECK_FIELDS).flatmap(wide_field_elems))
+    def test_planted_singular_curves(self, t):
+        A, B = -3 * t * t, 2 * t**3
+        assert oracle_singular(A, B)
+        with pytest.raises(SingularCurve):
+            Curve(A, B)
+        for unit in (QuadNum.of(1, t.d), QuadNum.root(t.d)):
+            if oracle_singular(A, B + unit):
+                with pytest.raises(SingularCurve):
+                    Curve(A, B + unit)
+            else:
+                assert Curve(A, B + unit).B == B + unit
+        # A = r sqrt(d), B = 0: 4A^3 + 27B^2 = 4 r^3 d sqrt(d) has only a
+        # sqrt(d) part
+        assume(t.p != 0)
+        A, B = QuadNum(0, t.p, t.d), QuadNum.of(0, t.d)
+        assert not oracle_singular(A, B)
+        assert Curve(A, B).A == A
+
+    def test_construction_makes_no_field_multiplication(self, monkeypatch):
+        A, B = QuadNum(2160, -2160, -3), QuadNum.of(-109296)
+        x, y = quad(0), quad(0, 12)
+        counts = []
+        real = QuadNum.__mul__
+
+        def counting(self, other):
+            counts.append(1)
+            return real(self, other)
+
+        monkeypatch.setattr(QuadNum, "__mul__", counting)
+        monkeypatch.setattr(QuadNum, "__rmul__", counting)
+        assert quad(2) * 3 == 6 * quad(1) and len(counts) == 2
+        counts.clear()
+        curve = Curve(A, B)
+        BASE.point(x, y)
+        Point(BASE, 12, 36)
+        assert BASE.contains(x, y) and curve.contains(0, 0) is False
+        with pytest.raises(SingularCurve):
+            Curve.of(-3, 2)
+        with pytest.raises(PointNotOnCurve):
+            Point(curve, x, y)
+        assert counts == []
+
+    def test_point_coerces_rational_coordinates(self):
+        # regression: ints used to stay ints, and velu3 then failed on them
+        p = Point(BASE, 12, Fraction(36))
+        assert isinstance(p.x, QuadNum) and isinstance(p.y, QuadNum)
+        assert p == BASE.point(quad(12), quad(36))
+        assert velu3(BASE, Point(BASE, 12, 36)) == velu3(BASE, p)
+        assert -Point(BASE, 12, 36) == BASE.point(12, -36)
+
+    def test_rejects_coordinates_from_another_field(self):
+        with pytest.raises(FieldMismatch):
+            Point(BASE, QuadNum.of(12, -1), quad(36))
+        with pytest.raises(FieldMismatch):
+            BASE.contains(quad(12), QuadNum.of(36, -1))
 
 
 class TestJInvariant:

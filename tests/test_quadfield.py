@@ -125,6 +125,16 @@ class TestConstruction:
         c = a + b - b
         assert c == a and hash(c) == hash(a)
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.sampled_from([-1, -3, -1000003]),
+           st.lists(st.integers(-10**6, 10**6), min_size=2, max_size=2),
+           st.lists(st.integers(1, 10**6), min_size=2, max_size=2))
+    def test_integer_form(self, d, nums, dens):
+        for q_den in dens:  # a shared denominator, then another
+            x = QuadNum(Fraction(nums[0], dens[0]), Fraction(nums[1], q_den), d)
+            a, b, m = x._ints()
+            assert m > 0 and QuadNum(Fraction(a, m), Fraction(b, m), d) == x
+
     def test_of_rejects_another_field(self):
         x = QuadNum.of(1, -1)
         assert QuadNum.of(x, -1) is x

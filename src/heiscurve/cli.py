@@ -24,6 +24,9 @@ USAGE_ERROR = 1
 MATH_ERROR = 2
 AUDIT_INCONSISTENT = 3
 BROKEN_PIPE = 141  # 128 + SIGPIPE, the status of a process killed by it
+# audit builds all of its ~4n verdicts before printing; the cap keeps it
+# near a second
+AUDIT_N_MAX = 10_000
 
 
 class CliError(Exception):
@@ -130,7 +133,8 @@ def build_parser():
     _add_common(p)
 
     p = sub.add_parser("audit", help="audit every recorded signature claim")
-    p.add_argument("--n-max", type=int, default=12)
+    p.add_argument("--n-max", type=int, default=12,
+                   help="largest n audited, at most %d" % AUDIT_N_MAX)
     _add_common(p)
 
     p = sub.add_parser("c3", help="full degree-3 isogeny derivation")
@@ -287,6 +291,9 @@ def _audit_line(v):
 
 
 def _run_audit(args):
+    if args.n_max > AUDIT_N_MAX:
+        raise CliError("--n-max must be at most %d, got %d"
+                       % (AUDIT_N_MAX, args.n_max))
     verdicts = covers.audit_signature_claims(args.n_max)
     _emit(args.format, lambda: [v.to_json_dict() for v in verdicts],
           lambda: "\n".join(_audit_line(v) for v in verdicts))

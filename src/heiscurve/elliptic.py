@@ -76,12 +76,22 @@ def _pair_mul(u0, u1, v0, v1, d):
     return u0 * v0 + d * u1 * v1, u0 * v1 + u1 * v0
 
 
+def _cube_times_square(u0, u1, v0, v1, d):
+    """(u0 + u1 sqrt d)^3 (v0 + v1 sqrt d)^2 as an integer pair."""
+    s0, s1 = _pair_mul(u0, u1, u0, u1, d)
+    s0, s1 = _pair_mul(s0, s1, u0, u1, d)
+    t0, t1 = _pair_mul(v0, v1, v0, v1, d)
+    return _pair_mul(s0, s1, t0, t1, d)
+
+
 @dataclass(frozen=True)
 class Curve:
     """y^2 = x^3 + Ax + B over Q(sqrt d).
 
-    The constructor and contains() clear the denominators of their
-    equations and compare integer pairs, with A = (a0 + a1 sqrt d)/mA and
+    An int or Fraction coefficient is coerced into the field of the other
+    coefficient, or into Q(sqrt DEFAULT_D) when both are rational.  The
+    constructor and contains() clear the denominators of their equations
+    and compare integer pairs, with A = (a0 + a1 sqrt d)/mA and
     B = (b0 + b1 sqrt d)/mB kept by the curve: neither multiplies in the
     field.
     """
@@ -91,6 +101,12 @@ class Curve:
 
     def __post_init__(self):
         A, B = self.A, self.B
+        if not isinstance(A, QuadNum) or not isinstance(B, QuadNum):
+            d = (B.d if isinstance(B, QuadNum)
+                 else A.d if isinstance(A, QuadNum) else DEFAULT_D)
+            A, B = QuadNum.of(A, d), QuadNum.of(B, d)
+            object.__setattr__(self, "A", A)
+            object.__setattr__(self, "B", B)
         d = A.d
         if B.d != d:
             raise FieldMismatch(d, B.d)
@@ -112,9 +128,6 @@ class Curve:
     @property
     def d(self):
         return self.A.d
-
-    def discriminant(self):
-        return -16 * (4 * self.A**3 + 27 * self.B**2)
 
     def rhs(self, x):
         return (x * x + self.A) * x + self.B
@@ -331,8 +344,16 @@ def classify_pair(e1, e2):
     """
     if e1.d != e2.d:
         raise ValueError("curves over different fields")
-    # equal j exactly when A1^3 B2^2 = A2^3 B1^2
-    if e1.A**3 * e2.B**2 != e2.A**3 * e1.B**2:
+    # equal j exactly when A1^3 B2^2 = A2^3 B1^2; with A = alpha/mA and
+    # B = beta/mB, test alpha1^3 beta2^2 mA2^3 mB1^2 = alpha2^3 beta1^2
+    # mA1^3 mB2^2 on integer pairs
+    d = e1.d
+    a10, a11, ma1, b10, b11, mb1 = e1._coeff_ints
+    a20, a21, ma2, b20, b21, mb2 = e2._coeff_ints
+    l0, l1 = _cube_times_square(a10, a11, b20, b21, d)
+    r0, r1 = _cube_times_square(a20, a21, b10, b11, d)
+    lm, rm = ma2**3 * mb1 * mb1, ma1**3 * mb2 * mb2
+    if l0 * lm != r0 * rm or l1 * lm != r1 * rm:
         return Classification("distinct-j")
     if e1.A.is_zero():  # j = 0: delta^3 = B2/B1
         deltas = (e2.B / e1.B).cube_roots()

@@ -118,9 +118,6 @@ class HeisenbergElement:
         """Image in the abelianization (Z/n)^2; kills exactly the center."""
         return (self.x, self.y)
 
-    def conjugate_by(self, h):
-        return h * self * h.inverse()
-
     def matrix(self):
         """The 3x3 integer matrix with entries reduced mod n."""
         return ((1, self.x, self.z), (0, 1, self.y), (0, 0, 1))

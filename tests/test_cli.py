@@ -2,6 +2,8 @@ import hashlib
 import itertools
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -240,6 +242,22 @@ class TestAudit:
         assert out == ""
         assert "n_max" in err and n_max in err
 
+    @pytest.mark.parametrize("n_max", [str(cli.AUDIT_N_MAX + 1), str(10**12)])
+    def test_n_max_above_the_cap_is_usage_error(self, capsys, n_max):
+        # regression: 10^8 was still building verdicts after 5 minutes
+        code, out, err = run(capsys, "audit", "--n-max", n_max)
+        assert code == 1
+        assert out == ""
+        assert "--n-max" in err and str(cli.AUDIT_N_MAX) in err and n_max in err
+
+    def test_n_max_at_the_cap_is_audited(self, capsys, monkeypatch):
+        seen = []
+        monkeypatch.setattr(covers, "audit_signature_claims",
+                            lambda n_max: seen.append(n_max) or [])
+        code, out, err = run(capsys, "audit", "--n-max", str(cli.AUDIT_N_MAX))
+        assert (code, err) == (0, "")
+        assert seen == [cli.AUDIT_N_MAX]
+
     def test_small_n_max_all_consistent_rows_present(self, capsys):
         code, payload = run_json(capsys, "audit", "--n-max", "4")
         assert code == 3
@@ -375,6 +393,46 @@ class TestParsing:
     def test_missing_required_flag(self, capsys):
         code, _, err = run(capsys, "genus")
         assert code == 1
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def readme_cli_examples():
+    """(argv, promised output) for each `heiscurve ...` line of the first
+    fenced block under the README's `## CLI` heading; a comment
+    `-> "text"` or `-> text` promises that text as a line of stdout."""
+    section = README.read_text(encoding="utf-8").split("\n## CLI\n", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    examples = []
+    for line in block.splitlines():
+        command, _, comment = line.partition("#")
+        argv = shlex.split(command)
+        if argv[:1] != ["heiscurve"]:
+            continue
+        promise = re.search(r'->\s*"?([^"]*?)"?\s*$', comment)
+        examples.append(pytest.param(
+            argv[1:], promise.group(1) if promise else None,
+            id=" ".join(argv[1:])))
+    return examples
+
+
+def test_readme_lists_the_cli_examples():
+    examples = readme_cli_examples()
+    assert len(examples) >= 10
+    assert {p.values[0][0] for p in examples} >= {
+        "group", "word", "genus", "audit", "c3", "torsion", "isogeny", "j"}
+    assert {p.values[1] for p in examples} >= {"13", "does not lift"}
+
+
+@pytest.mark.parametrize("argv, promised", readme_cli_examples())
+def test_readme_cli_example(capsys, argv, promised):
+    code, out, err = run(capsys, *argv)
+    assert code == (cli.AUDIT_INCONSISTENT if argv[0] == "audit" else 0), err
+    assert err == ""
+    assert out.strip()
+    if promised is not None:
+        assert promised in [ln.strip() for ln in out.splitlines()]
 
 
 class TestEntry:

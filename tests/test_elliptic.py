@@ -72,12 +72,12 @@ FAMILIES = ("generic", "j=0", "j=1728")
 
 
 @st.composite
-def family_curves(draw, d, family):
+def family_curves(draw, d, family, elems=field_elems):
     """A nonsingular curve over Q(sqrt d), with A = 0 for j = 0 and B = 0
     for j = 1728."""
     zero = QuadNum.of(0, d)
-    A = zero if family == "j=0" else draw(field_elems(d))
-    B = zero if family == "j=1728" else draw(field_elems(d))
+    A = zero if family == "j=0" else draw(elems(d))
+    B = zero if family == "j=1728" else draw(elems(d))
     try:
         return Curve(A, B)
     except SingularCurve:
@@ -85,19 +85,34 @@ def family_curves(draw, d, family):
 
 
 @st.composite
-def related_pairs(draw):
+def related_pairs(draw, fields=FIELDS, elems=field_elems, near_miss=False):
     """(E1, E2): E2 is E1 scaled by (u^4, u^6) or by (delta^2, delta^3), or
-    a random curve of the same j family."""
-    d = draw(st.sampled_from(FIELDS))
+    a random curve of the same j family.  With near_miss, A2 or B2 may
+    then move by +-1 or +-sqrt d."""
+    d = draw(st.sampled_from(fields))
     family = draw(st.sampled_from(FAMILIES))
-    e1 = draw(family_curves(d, family))
+    e1 = draw(family_curves(d, family, elems))
     relation = draw(st.sampled_from(("u", "delta", "random")))
     if relation == "random":
-        return e1, draw(family_curves(d, family))
-    scale = draw(field_elems(d))
-    assume(not scale.is_zero())
-    a, b = (4, 6) if relation == "u" else (2, 3)
-    return e1, Curve(scale**a * e1.A, scale**b * e1.B)
+        e2 = draw(family_curves(d, family, elems))
+    else:
+        scale = draw(elems(d))
+        assume(not scale.is_zero())
+        a, b = (4, 6) if relation == "u" else (2, 3)
+        e2 = Curve(scale**a * e1.A, scale**b * e1.B)
+    if not near_miss:
+        return e1, e2
+    root = QuadNum.root(d)
+    unit = draw(st.sampled_from([0, 1, -1, root, -root]))
+    A2, B2 = e2.A, e2.B
+    if draw(st.sampled_from("AB")) == "A":
+        A2 = A2 + unit
+    else:
+        B2 = B2 + unit
+    try:
+        return e1, Curve(A2, B2)
+    except SingularCurve:
+        assume(False)
 
 
 # ---------------------------------------------------------------------------
@@ -122,6 +137,11 @@ def oracle_sixth_roots(value):
             continue
         out.extend([u, -u])
     return out
+
+
+def oracle_distinct_j(e1, e2):
+    """The same-j test as classify_pair made it in field arithmetic."""
+    return e1.A**3 * e2.B**2 != e2.A**3 * e1.B**2
 
 
 def oracle_classify_pair(e1, e2):
@@ -254,11 +274,25 @@ def oracle_contains(A, B, x, y):
 INT_CHECK_FIELDS = (-1, -3, -1000003)
 
 
+WIDE_RATIONALS = st.builds(Fraction, st.integers(-10**6, 10**6),
+                           st.integers(1, 10**6))
+
+
 def wide_field_elems(d):
     """Elements of Q(sqrt d) with numerators and denominators up to 10^6."""
-    rationals = st.builds(Fraction, st.integers(-10**6, 10**6),
-                          st.integers(1, 10**6))
-    return st.builds(lambda p, q: QuadNum(p, q, d), rationals, rationals)
+    return st.builds(lambda p, q: QuadNum(p, q, d), WIDE_RATIONALS,
+                     WIDE_RATIONALS)
+
+
+def shaped_field_elems(d):
+    """Wide elements of Q(sqrt d), some of them rational or rational
+    multiples of sqrt d, whose squares are rational."""
+    zero = st.just(Fraction(0))
+    return st.one_of(
+        wide_field_elems(d),
+        st.builds(lambda p, q: QuadNum(p, q, d), WIDE_RATIONALS, zero),
+        st.builds(lambda p, q: QuadNum(p, q, d), zero, WIDE_RATIONALS),
+    )
 
 
 @st.composite
@@ -331,6 +365,25 @@ class TestCurve:
             Curve(QuadNum.of(1, -3), QuadNum.of(1, -1))
         with pytest.raises(FieldMismatch):
             Curve.of(QuadNum.of(1, -1), 1, -3)
+
+    def test_coerces_rational_coefficients(self):
+        # regression: Curve(0, 1) raised AttributeError: 'int' object has
+        # no attribute 'd'
+        assert Curve(0, 1) == Curve.of(0, 1)
+        assert Curve(QuadNum.of(1), 0) == Curve.of(1, 0)
+        assert Curve(0, QuadNum.of(1, -1)) == Curve.of(0, 1, -1)
+        curve = Curve(Fraction(1, 2), QuadNum(3, 0, -1))
+        assert curve.d == -1
+        assert curve.A == QuadNum(Fraction(1, 2), 0, -1)
+        assert isinstance(curve.B, QuadNum)
+        assert Curve(2, Fraction(-3, 4)).d == -3
+        with pytest.raises(SingularCurve):
+            Curve(-3, 2)
+
+    def test_keeps_field_coefficients_as_given(self):
+        A, B = QuadNum(2160, -2160, -3), QuadNum.of(-109296)
+        curve = Curve(A, B)
+        assert curve.A is A and curve.B is B
 
     @settings(max_examples=30, deadline=None)
     @given(st.sampled_from([-3, -1000003]).flatmap(curves_and_x))
@@ -769,11 +822,10 @@ class TestClassification:
             if classify_pair(e1, e2).kind == "isomorphic":
                 assert j_invariant(e1) == j_invariant(e2)
 
-    @settings(max_examples=150, deadline=None)
-    @given(related_pairs())
-    def test_matches_oracle(self, pair):
-        e1, e2 = pair
+    @staticmethod
+    def check_against_oracle(e1, e2):
         result = classify_pair(e1, e2)
+        assert (result.kind == "distinct-j") is oracle_distinct_j(e1, e2)
         try:
             expected = oracle_classify_pair(e1, e2)
         except UnsupportedFactorization:
@@ -790,6 +842,69 @@ class TestClassification:
                 assert result.kind == "same-j-only"
             return
         assert result == expected
+
+    @settings(max_examples=150, deadline=None)
+    @given(related_pairs())
+    def test_matches_oracle(self, pair):
+        self.check_against_oracle(*pair)
+
+    @settings(max_examples=300, deadline=None)
+    @given(related_pairs(INT_CHECK_FIELDS, shaped_field_elems, near_miss=True))
+    def test_wide_and_near_miss_pairs_match_oracle(self, pair):
+        self.check_against_oracle(*pair)
+
+    @pytest.mark.parametrize("d", INT_CHECK_FIELDS)
+    def test_near_misses_in_one_component(self, d):
+        # A1^3 B2^2 - A2^3 B1^2 is nonzero in only one of its two parts
+        one, root, zero = QuadNum.of(1, d), QuadNum.root(d), QuadNum.of(0, d)
+        half = QuadNum.of(Fraction(1, 2), d)
+        pairs = [
+            (Curve(zero, one), Curve(one, one)),          # rational part
+            (Curve(zero, one), Curve(root, one)),         # sqrt d part
+            (Curve(zero, root), Curve(-root, root)),      # sqrt d part
+            (Curve(one, zero), Curve(one, root)),         # rational part
+            (Curve(root, zero), Curve(root, one)),        # sqrt d part
+            (Curve(half, zero), Curve(half, half)),       # rational part
+        ]
+        for e1, e2 in pairs:
+            assert oracle_distinct_j(e1, e2)
+            assert classify_pair(e1, e2) == Classification("distinct-j")
+            assert classify_pair(e2, e1) == Classification("distinct-j")
+
+    def test_same_j_with_coefficient_denominators(self):
+        # A2 = delta^2 A1, B2 = delta^3 B1: the denominators of A and B
+        # enter the test cubed and squared
+        e1 = Curve(QuadNum(Fraction(1, 3), Fraction(2, 5)), QuadNum.of(Fraction(7, 2)))
+        for delta in (quad(Fraction(1, 2)), quad(Fraction(2, 3), Fraction(1, 7))):
+            e2 = Curve(delta**2 * e1.A, delta**3 * e1.B)
+            result = classify_pair(e1, e2)
+            assert result.kind in ("isomorphic", "quadratic-twist")
+            assert classify_pair(e2, e1).kind == result.kind
+
+    def test_distinct_j_makes_no_field_operation(self, monkeypatch):
+        counts = []
+
+        def counting(name):
+            real = getattr(QuadNum, name)
+
+            def counted(self, other):
+                counts.append(name)
+                return real(self, other)
+            return counted
+
+        names = ("__mul__", "__rmul__", "__pow__", "__truediv__",
+                 "__rtruediv__")
+        for name in names:
+            monkeypatch.setattr(QuadNum, name, counting(name))
+        assert quad(2) * 3 == 6 * quad(1) and quad(2)**2 / 2 == 2 / quad(1)
+        assert set(counts) == set(names)
+        counts.clear()
+        wide = Curve(QuadNum(Fraction(-7, 10**6), Fraction(3, 999983)),
+                     QuadNum(Fraction(5, 12), Fraction(-1, 9)))
+        for e1, e2 in [(ROW_CURVES[0], ROW_CURVES[3]), (BASE, ROW_CURVES[1]),
+                       (ROW_CURVES[1], wide), (wide, BASE)]:
+            assert classify_pair(e1, e2) == Classification("distinct-j")
+        assert counts == []
 
     # j = 0 pairs whose B-ratio is irrational, which the oracle cannot split
     def test_j_zero_irrational_ratio_isomorphic(self):

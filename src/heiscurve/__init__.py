@@ -7,7 +7,7 @@ Subpackages:
                 criterion for the degree-6 symmetry endomorphisms
 * covers     -- Riemann-Hurwitz genus bookkeeping, signatures, audits
 * quadfield  -- exact arithmetic in imaginary quadratic fields
-* elliptic   -- curves over Q(sqrt -3): 3-torsion, 3-isogenies, j-invariants
+* elliptic   -- curves over Q(sqrt d): 3-torsion, 3-isogenies, j-invariants
 * cli        -- the `heiscurve` command-line tool
 """
 

@@ -343,7 +343,7 @@ def classify_pair(e1, e2):
     but none is a square; and same-j-only when there is no delta.
     """
     if e1.d != e2.d:
-        raise ValueError("curves over different fields")
+        raise FieldMismatch(e1.d, e2.d)
     # equal j exactly when A1^3 B2^2 = A2^3 B1^2; with A = alpha/mA and
     # B = beta/mB, test alpha1^3 beta2^2 mA2^3 mB1^2 = alpha2^3 beta1^2
     # mA1^3 mB2^2 on integer pairs

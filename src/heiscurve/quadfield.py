@@ -1,11 +1,16 @@
 """Exact arithmetic in an imaginary quadratic field Q(sqrt(d)).
 
-A number is p + q*sqrt(d) with p, q reduced fractions and d a squarefree
-negative integer (default -3, whose ring contains the primitive cube root
-of unity needed downstream).  Real quadratic fields are rejected: the
-square-root case analysis below relies on the norm p^2 - d q^2 being a sum
-of positive terms.  Square and cube roots of an element are found in closed
-form from its norm and trace.
+A number is p + q*sqrt(d) with p, q reduced fractions and d any negative
+integer (default -3, whose ring contains the primitive cube root of unity
+needed downstream).  Real quadratic fields are rejected: the square-root
+case analysis below relies on the norm p^2 - d q^2 being a sum of positive
+terms.  Square and cube roots of an element are found in closed form from
+its norm and trace.
+
+d names the generator sqrt(d), not only the field.  Q(sqrt -12) is
+Q(sqrt -3), but an element with d = -12 is written in sqrt(-12) = 2 sqrt(-3),
+and mixing it with a d = -3 element raises FieldMismatch.  zeta3 needs
+d = -3.
 
 Also provides root finding for polynomials of degree <= 4 with coefficients
 in the field, by a p-adic rational-root search (Hensel lifting) plus
@@ -30,43 +35,19 @@ class UnsupportedFactorization(ArithmeticError):
     """Polynomial does not visibly split into degree <= 2 factors."""
 
 
-def _is_squarefree(m):
-    """True iff the square of no prime divides m (m != 0).
-
-    Trial division stops at the cube root of what is left of |m|.  Every
-    prime below that has been divided out once, so the cofactor has at most
-    two prime factors and is squarefree unless it is a perfect square.
-    """
-    m = abs(m)
-    p = 2
-    while p * p * p <= m:
-        if m % p == 0:
-            m //= p
-            if m % p == 0:
-                return False
-        p += 1
-    r = isqrt(m)
-    return m == 1 or r * r != m
-
-
 class FieldMismatch(ValueError):
-    """Elements of two different fields Q(sqrt d) and Q(sqrt other_d) met."""
+    """Elements over two different generators sqrt d and sqrt other_d met,
+    even when both generate the same field."""
 
     def __init__(self, d, other_d):
-        super().__init__("mixing fields Q(sqrt %d) and Q(sqrt %d)" % (d, other_d))
+        super().__init__("mixing elements over sqrt(%d) and sqrt(%d)" % (d, other_d))
         self.d = d
         self.other_d = other_d
 
 
-_VALID_D = set()  # every d that has passed _check_d in this process
-
-
 def _check_d(d):
-    if d in _VALID_D:
-        return
-    if d >= 0 or not _is_squarefree(d):
-        raise ValueError("d must be a squarefree negative integer, got %r" % (d,))
-    _VALID_D.add(d)
+    if type(d) is not int or d >= 0:
+        raise ValueError("d must be a negative integer, got %r" % (d,))
 
 
 def rational_sqrt(value):
@@ -83,10 +64,9 @@ def rational_sqrt(value):
 class QuadNum:
     """p + q*sqrt(d): an immutable slotted element of Q(sqrt d).
 
-    The public constructor checks d (once per process for each distinct
-    value) and turns p and q into Fractions.  Results of field operations
-    and coercions of ints and Fractions are built by _quad, which stores
-    the Fractions as they are.
+    The public constructor checks d on every call and turns p and q into
+    Fractions.  Results of field operations and coercions of ints and
+    Fractions are built by _quad, which stores the Fractions as they are.
     """
 
     __slots__ = ("p", "q", "d")
@@ -334,7 +314,7 @@ def _fraction(x):
 
 
 def _quad(p, q, d):
-    """A QuadNum from Fractions p, q and a d that has passed _check_d."""
+    """A QuadNum from Fractions p, q and a d known to be valid, unchecked."""
     x = _new(QuadNum)
     _set_p(x, p)
     _set_q(x, q)

@@ -314,6 +314,12 @@ class TestC3:
         assert lines == expected
         assert "rows 2,3: isomorphic (scale 1/2 - 1/2√-3)" in lines
 
+    def test_non_squarefree_d_writes_the_table_in_its_sqrt(self, capsys):
+        code, out, err = run(capsys, "c3", "--d", "-12")
+        assert code == 0 and err == ""
+        assert "(-6 - 3√-12 : ±36 : 1)" in out and "(2160 - 1080√-12)x" in out
+        assert "y^2 = x^3 + (11664)" in out
+
     @pytest.mark.parametrize("d", ("-1", "-7"))
     def test_field_without_j_zero_row_is_math_error(self, capsys, d):
         code, out, err = run(capsys, "c3", "--d", d)
@@ -363,6 +369,12 @@ class TestCurveCommands:
         code, _, err = run(
             capsys, "isogeny", "--A", "0", "--B", "-432", "--x", "1", "--y", "1")
         assert code == 2
+
+    def test_nonnegative_d_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "torsion", "--A", "0", "--B", "1",
+                             "--d", "4")
+        assert code == 1 and out == ""
+        assert "negative integer, got 4" in err and "Traceback" not in err
 
     def test_bad_field_element_is_usage_error(self, capsys):
         code, _, err = run(capsys, "j", "--A", "nonsense", "--B", "1")

@@ -67,7 +67,7 @@ def curves_and_x(draw, d):
         assume(False)
 
 
-FIELDS = (-1, -3, -7)
+FIELDS = (-1, -3, -7, -12, -27)
 FAMILIES = ("generic", "j=0", "j=1728")
 
 
@@ -271,7 +271,7 @@ def oracle_contains(A, B, x, y):
     return y * y == (x * x + A) * x + B
 
 
-INT_CHECK_FIELDS = (-1, -3, -1000003)
+INT_CHECK_FIELDS = (-1, -3, -12, -27, -1000003)
 
 
 WIDE_RATIONALS = st.builds(Fraction, st.integers(-10**6, 10**6),
@@ -354,10 +354,10 @@ def frobenius_traces(curve):
 
 
 class TestCurve:
-    @pytest.mark.parametrize("d", [5, -12])
+    @pytest.mark.parametrize("d", [5, 0, -3.0])
     def test_bad_d_rejected_every_time(self, d):
         for _ in range(2):
-            with pytest.raises(ValueError, match="squarefree negative"):
+            with pytest.raises(ValueError, match="negative integer, got %r" % d):
                 Curve.of(0, 1, d)
 
     def test_coefficients_from_two_fields_rejected(self):
@@ -925,6 +925,11 @@ class TestClassification:
         e2 = Curve(QuadNum(0, 0), QuadNum(1, 1))  # norm 4: not a cube
         assert classify_pair(Curve.of(0, 1), e2) == Classification("same-j-only")
 
+    def test_curves_over_different_generators(self):
+        with pytest.raises(FieldMismatch) as info:
+            classify_pair(BASE, Curve.of(0, -432, -12))
+        assert (info.value.d, info.value.other_d) == (-3, -12)
+
     @settings(max_examples=40, deadline=None)
     @given(related_pairs())
     def test_verdict_agrees_with_frobenius_traces(self, pair):
@@ -989,6 +994,31 @@ class TestDerivation:
     def test_text_table_mentions_every_j(self):
         text = derive_isogenous_curves().to_text()
         assert "11664" in text and "-12288000" in text
+
+    # sqrt(-3 m^2) = m sqrt(-3): each entry keeps its rational part and
+    # divides its sqrt(d) part by m; the last m is a 20-digit prime
+    @pytest.mark.parametrize("m", (2, 3, 20000000000000000011),
+                             ids=("d=-12", "d=-27", "40-digit-d"))
+    def test_table_rewritten_in_sqrt_d(self, m):
+        def rewritten(x):
+            return QuadNum(x.p, x.q / m, -3 * m * m)
+
+        expected, report = derive_isogenous_curves(), derive_isogenous_curves(-3 * m * m)
+        assert len(report.rows) == 4
+        for row, want in zip(report.rows, expected.rows):
+            assert row.kernel_x == rewritten(want.kernel_x)
+            assert row.kernel_y == rewritten(want.kernel_y)
+            assert row.codomain.A == rewritten(want.codomain.A)
+            assert row.codomain.B == rewritten(want.codomain.B)
+            assert row.j == rewritten(want.j)
+            assert row.aut0 == want.aut0
+        assert len(report.pair_classifications) == 6
+        for (pair, got), (want_pair, want) in zip(report.pair_classifications,
+                                                  expected.pair_classifications):
+            assert pair == want_pair and got.kind == want.kind
+            assert got.scale == (None if want.scale is None
+                                 else rewritten(want.scale))
+        assert report.selected == Curve.of(0, 11664, -3 * m * m)
 
     @pytest.mark.parametrize("d", (-1, -7))
     def test_no_j_zero_row_outside_q_sqrt_minus_3(self, d):

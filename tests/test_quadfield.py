@@ -6,7 +6,6 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from heiscurve import quadfield
 from heiscurve.quadfield import (
     FieldMismatch,
     NotASquare,
@@ -60,9 +59,15 @@ class TestConstruction:
         with pytest.raises(ValueError):
             QuadNum(Fraction(1), Fraction(0), 5)
 
-    def test_rejects_non_squarefree_d(self):
+    def test_d_names_the_generator(self):
+        # Q(sqrt -12) = Q(sqrt -3), but sqrt(-12) = 2 sqrt(-3) is another
+        # generator, and elements written in the two do not mix
+        assert QuadNum.root(-12) ** 2 == -12
+        with pytest.raises(FieldMismatch) as info:
+            QuadNum(1, 1, -12) + QuadNum(1, 1, -3)
+        assert (info.value.d, info.value.other_d) == (-12, -3)
         with pytest.raises(ValueError):
-            QuadNum(Fraction(1), Fraction(0), -12)
+            zeta3(-12)
 
     def test_rejects_mixed_fields(self):
         with pytest.raises(ValueError):
@@ -73,27 +78,35 @@ class TestConstruction:
         assert 3 * quad(2) == quad(6)
         assert 1 - quad(2) == quad(-1)
 
-    @pytest.mark.parametrize("d", [5, 0, -12, -4 * 1000003])
+    @pytest.mark.parametrize("d", [5, 0, -3.0])
     def test_bad_d_rejected_every_time(self, d):
-        # a rejected d is never recorded as checked
         for _ in range(2):
-            with pytest.raises(ValueError, match="squarefree negative"):
+            with pytest.raises(ValueError, match="negative integer, got %r" % d):
                 QuadNum(Fraction(1), Fraction(0), d)
-            with pytest.raises(ValueError, match="squarefree negative"):
+            with pytest.raises(ValueError, match="negative integer"):
                 QuadNum.of(1, d)
-            with pytest.raises(ValueError, match="squarefree negative"):
+            with pytest.raises(ValueError, match="negative integer"):
                 QuadNum.root(d)
 
-    def test_d_checked_once_per_process(self, monkeypatch):
-        calls = []
-        is_squarefree = quadfield._is_squarefree
-        monkeypatch.setattr(quadfield, "_VALID_D", set())
-        monkeypatch.setattr(quadfield, "_is_squarefree",
-                            lambda m: calls.append(m) or is_squarefree(m))
-        x = QuadNum(Fraction(1, 2), Fraction(3), -1000003)
-        y = QuadNum.of(5, -1000003) * x + QuadNum.root(-1000003)
-        assert (y**3 / x).d == -1000003
-        assert calls == [-1000003]
+    def test_non_int_d_rejected_after_a_valid_one(self):
+        # regression: a d was checked once per process, so after any d = -3
+        # element -3.0 passed as well and gave inexact float arithmetic
+        x = QuadNum(1, 1, -3)
+        assert x * x == QuadNum(-2, 2, -3)
+        data = dict(x.to_json_dict(), d=-3.0)
+        calls = [
+            lambda: QuadNum(1, 1, -3.0),
+            lambda: QuadNum(1, 1, Fraction(-3)),
+            lambda: QuadNum(1, 1, True),
+            lambda: QuadNum.of(1, -3.0),
+            lambda: QuadNum.root(-3.0),
+            lambda: QuadNum.from_json_dict(data),
+        ]
+        names_d = r"negative integer, got (-3\.0|Fraction\(-3, 1\)|True)$"
+        for call in calls:
+            for _ in range(2):
+                with pytest.raises(ValueError, match=names_d):
+                    call()
 
     @pytest.mark.parametrize("name", ["p", "q", "d"])
     def test_immutable(self, name):
@@ -126,7 +139,7 @@ class TestConstruction:
         assert c == a and hash(c) == hash(a)
 
     @settings(max_examples=100, deadline=None)
-    @given(st.sampled_from([-1, -3, -1000003]),
+    @given(st.sampled_from([-1, -3, -12, -27, -1000003]),
            st.lists(st.integers(-10**6, 10**6), min_size=2, max_size=2),
            st.lists(st.integers(1, 10**6), min_size=2, max_size=2))
     def test_integer_form(self, d, nums, dens):
@@ -155,34 +168,6 @@ class TestConstruction:
         # regression: the coefficients used to pass through unchanged
         with pytest.raises(FieldMismatch):
             find_field_roots([QuadNum.of(1, -1)] * 2, d=-3)
-
-
-def _squarefree_by_squares(m):
-    """Reference: trial division by k^2 for every k <= sqrt(|m|)."""
-    m = abs(m)
-    k = 2
-    while k * k <= m:
-        if m % (k * k) == 0:
-            return False
-        k += 1
-    return True
-
-
-class TestSquarefree:
-    def test_exhaustive_below_1e5(self):
-        for m in range(1, 10**5):
-            assert quadfield._is_squarefree(-m) == _squarefree_by_squares(m), m
-
-    @given(st.integers(min_value=1, max_value=10**8))
-    def test_matches_reference(self, m):
-        assert quadfield._is_squarefree(-m) == _squarefree_by_squares(m)
-
-    @pytest.mark.parametrize(
-        "m", (10**18 + 9, (10**9 + 7) ** 2, 2 * 100003 * 1000003**2))
-    def test_large(self, m):
-        sympy = pytest.importorskip("sympy")
-        expected = max(sympy.factorint(m).values()) == 1
-        assert quadfield._is_squarefree(-m) == expected
 
 
 class TestFieldAxioms:
@@ -308,7 +293,7 @@ class TestCubeRoots:
         assert quad(0).cube_roots() == [quad(0)]
 
     @settings(max_examples=100, deadline=None)
-    @given(st.sampled_from((-1, -3, -7)).flatmap(
+    @given(st.sampled_from((-1, -3, -7, -12, -27)).flatmap(
         lambda d: st.tuples(rationals, rationals, st.just(d))))
     def test_planted_root_found(self, pqd):
         c = quad(*pqd)
@@ -318,7 +303,7 @@ class TestCubeRoots:
         assert all(r**3 == c**3 for r in roots)
 
     @settings(max_examples=40, deadline=None)
-    @given(st.sampled_from((-1, -3, -7)), rationals, rationals,
+    @given(st.sampled_from((-1, -3, -7, -12, -27)), rationals, rationals,
            st.sampled_from(("planted", "random", "p = 0, planted", "p = 0")))
     def test_root_count_matches_sympy(self, d, p, q, shape):
         sympy = pytest.importorskip("sympy")

@@ -32,11 +32,17 @@ class RamificationData:
 
     def __post_init__(self):
         object.__setattr__(self, "indices", tuple(self.indices))
+        if type(self.base_genus) is not int:
+            raise TypeError("base_genus must be an int, got %r" % (self.base_genus,))
+        if type(self.group_order) is not int:
+            raise TypeError("group_order must be an int, got %r" % (self.group_order,))
         if self.base_genus < 0:
             raise ValueError("base genus must be >= 0")
         if self.group_order < 1:
             raise ValueError("group order must be >= 1")
         for e in self.indices:
+            if type(e) is not int:
+                raise TypeError("indices must be ints, got %r" % (e,))
             if e < 2:
                 raise ValueError("ramification indices must be >= 2")
             if self.group_order % e != 0:
@@ -66,6 +72,8 @@ def rh_genus(data):
 
 def fermat_genus(n):
     """(n-1)(n-2)/2."""
+    if type(n) is not int:
+        raise TypeError("n must be an int, got %r" % (n,))
     if n < 1:
         raise ValueError("n must be >= 1")
     return (n - 1) * (n - 2) // 2
@@ -73,6 +81,8 @@ def fermat_genus(n):
 
 def heisenberg_genus(n):
     """n^2(n-3)/2 + 1 for odd n; an extra n^2/4 for even n."""
+    if type(n) is not int:
+        raise TypeError("n must be an int, got %r" % (n,))
     if n < 2:
         raise ValueError("n must be >= 2")
     doubled = n * n * (n - 3)  # always even: n^2(n-3) has an even factor

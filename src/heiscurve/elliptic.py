@@ -34,6 +34,7 @@ from .quadfield import (
     FieldMismatch,
     NotASquare,
     QuadNum,
+    _quad,
     find_field_roots,
     poly_eval,
     zeta3,
@@ -84,6 +85,25 @@ def _cube_times_square(u0, u1, v0, v1, d):
     return _pair_mul(s0, s1, t0, t1, d)
 
 
+def _discriminant_terms(a0, a1, ma, b0, b1, mb, d):
+    """4A^3 and 27B^2 times mA^3 mB^2, as two integer pairs, for
+    A = (a0 + a1 sqrt d)/mA and B = (b0 + b1 sqrt d)/mB."""
+    s0, s1 = _pair_mul(a0, a1, a0, a1, d)
+    c0, c1 = _pair_mul(s0, s1, a0, a1, d)
+    t0, t1 = _pair_mul(b0, b1, b0, b1, d)
+    u, v = 4 * mb * mb, 27 * ma * ma * ma
+    return u * c0, u * c1, v * t0, v * t1
+
+
+def _pair_quotient(n0, n1, e0, e1, d):
+    """(n0 + n1 sqrt d)/(e0 + e1 sqrt d) for e != 0, as n times the
+    conjugate of e over the norm e0^2 - d e1^2 > 0: two Fractions and no
+    field inversion."""
+    norm = e0 * e0 - d * e1 * e1
+    return _quad(Fraction(n0 * e0 - d * n1 * e1, norm),
+                 Fraction(n1 * e0 - n0 * e1, norm), d)
+
+
 @dataclass(frozen=True)
 class Curve:
     """y^2 = x^3 + Ax + B over Q(sqrt d).
@@ -113,11 +133,8 @@ class Curve:
         a0, a1, ma = A._ints()
         b0, b1, mb = B._ints()
         # 4A^3 + 27B^2 = 0, times mA^3 mB^2
-        s0, s1 = _pair_mul(a0, a1, a0, a1, d)
-        c0, c1 = _pair_mul(s0, s1, a0, a1, d)
-        t0, t1 = _pair_mul(b0, b1, b0, b1, d)
-        u, v = 4 * mb * mb, 27 * ma * ma * ma
-        if u * c0 + v * t0 == 0 and u * c1 + v * t1 == 0:
+        f0, f1, g0, g1 = _discriminant_terms(a0, a1, ma, b0, b1, mb, d)
+        if f0 + g0 == 0 and f1 + g1 == 0:
             raise SingularCurve("4A^3 + 27B^2 = 0")
         object.__setattr__(self, "_coeff_ints", (a0, a1, ma, b0, b1, mb))
 
@@ -196,9 +213,16 @@ class Point:
 
 
 def j_invariant(curve):
-    """1728 * 4A^3 / (4A^3 + 27B^2)."""
-    four_a3 = 4 * curve.A**3
-    return 1728 * four_a3 / (four_a3 + 27 * curve.B**2)
+    """1728 * 4A^3 / (4A^3 + 27B^2).
+
+    Numerator and denominator times mA^3 mB^2 are the integer pairs
+    1728 * 4 alpha^3 mB^2 and 4 alpha^3 mB^2 + 27 beta^2 mA^3, where
+    A = alpha/mA and B = beta/mB are the curve's _coeff_ints, so j makes
+    no field operation.
+    """
+    d = curve.d
+    f0, f1, g0, g1 = _discriminant_terms(*curve._coeff_ints, d)
+    return _pair_quotient(1728 * f0, 1728 * f1, f0 + g0, f1 + g1, d)
 
 
 def point_add(p, q):
@@ -341,6 +365,10 @@ def classify_pair(e1, e2):
     pair is isomorphic over the field when some delta is a square u^2, so
     that A2 = u^4 A1 and B2 = u^6 B1; a quadratic twist when a delta exists
     but none is a square; and same-j-only when there is no delta.
+
+    The same-j test and the coefficient ratios that give delta are taken
+    on the curves' integer pairs A = alpha/mA, B = beta/mB; only the square
+    and cube roots of delta work in the field.
     """
     if e1.d != e2.d:
         raise FieldMismatch(e1.d, e2.d)
@@ -355,16 +383,21 @@ def classify_pair(e1, e2):
     lm, rm = ma2**3 * mb1 * mb1, ma1**3 * mb2 * mb2
     if l0 * lm != r0 * rm or l1 * lm != r1 * rm:
         return Classification("distinct-j")
-    if e1.A.is_zero():  # j = 0: delta^3 = B2/B1
-        deltas = (e2.B / e1.B).cube_roots()
-    elif e1.B.is_zero():  # j = 1728: delta^2 = A2/A1
+    if e1.A.is_zero():  # j = 0: delta^3 = B2/B1 = beta2 mB1/(beta1 mB2)
+        deltas = _pair_quotient(b20 * mb1, b21 * mb1, b10 * mb2, b11 * mb2,
+                                d).cube_roots()
+    elif e1.B.is_zero():  # j = 1728: delta^2 = A2/A1 = alpha2 mA1/(alpha1 mA2)
         try:
-            s = (e2.A / e1.A).sqrt()
+            s = _pair_quotient(a20 * ma1, a21 * ma1, a10 * ma2, a11 * ma2,
+                               d).sqrt()
             deltas = [s, -s]
         except NotASquare:
             deltas = []
-    else:
-        deltas = [(e2.B / e1.B) / (e2.A / e1.A)]
+    else:  # delta = B2 A1/(B1 A2) = beta2 alpha1 mB1 mA2/(beta1 alpha2 mB2 mA1)
+        n0, n1 = _pair_mul(b20, b21, a10, a11, d)
+        q0, q1 = _pair_mul(b10, b11, a20, a21, d)
+        mn, mq = mb1 * ma2, mb2 * ma1
+        deltas = [_pair_quotient(n0 * mn, n1 * mn, q0 * mq, q1 * mq, d)]
     for delta in deltas:
         try:
             return Classification("isomorphic", delta.sqrt())

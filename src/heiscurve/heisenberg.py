@@ -41,11 +41,18 @@ class HeisenbergElement:
     z: int
 
     def __post_init__(self):
-        if not isinstance(self.n, int) or self.n < 1:
+        n, x, y, z = self.n, self.x, self.y, self.z
+        if not type(n) is type(x) is type(y) is type(z) is int:
+            for name in ("n", "x", "y", "z"):
+                v = getattr(self, name)
+                if type(v) is not int:
+                    raise TypeError("HeisenbergElement %s must be an int, "
+                                    "got %r" % (name, v))
+        if n < 1:
             raise ValueError("modulus must be an integer >= 1")
-        object.__setattr__(self, "x", self.x % self.n)
-        object.__setattr__(self, "y", self.y % self.n)
-        object.__setattr__(self, "z", self.z % self.n)
+        object.__setattr__(self, "x", x % n)
+        object.__setattr__(self, "y", y % n)
+        object.__setattr__(self, "z", z % n)
 
     @classmethod
     def identity(cls, n):

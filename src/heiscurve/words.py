@@ -39,6 +39,9 @@ def _reduce(syllables):
         gen, exp = syllable
         if gen not in GENERATORS:
             raise ValueError("unknown generator %r" % (gen,))
+        if type(exp) is not int:
+            raise TypeError("the exponent of %r must be an int, got %r"
+                            % (gen, exp))
         if exp == 0:
             continue
         if stack and stack[-1][0] == gen:
@@ -182,6 +185,10 @@ def eval_in_heisenberg(word, n):
 
 def eval_in_abelianization(word, n):
     """Exponent sums of a and b, reduced mod n."""
+    if type(n) is not int:
+        raise TypeError("modulus n must be an int, got %r" % (n,))
+    if n < 1:
+        raise ValueError("modulus must be an integer >= 1")
     ea = sum(e for g, e in word.syllables if g == "a")
     eb = sum(e for g, e in word.syllables if g == "b")
     return (ea % n, eb % n)

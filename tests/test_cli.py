@@ -341,6 +341,17 @@ class TestCurveCommands:
         assert payload["j"]["p_num"] == -12288000
         assert payload["j"]["q_num"] == 0
 
+    def test_j_json_pinned_with_denominators_and_sqrt_parts(self, capsys):
+        code, out, _ = run(capsys, "j", "--A", "1/3+2/5r", "--B", "7/2-1/9r",
+                           "--format", "json")
+        assert code == 0
+        assert out == (
+            '{"curve": {"A": {"d": -3, "p_den": 3, "p_num": 1, "q_den": 5, '
+            '"q_num": 2}, "B": {"d": -3, "p_den": 2, "p_num": 7, "q_den": 9, '
+            '"q_num": -1}}, "j": {"d": -3, "p_den": 19851107193697, '
+            '"p_num": -178305772483584, "q_den": 19851107193697, '
+            '"q_num": -36087669504000}}\n')
+
     def test_singular_curve_is_math_error(self, capsys):
         code, _, err = run(capsys, "j", "--A", "0", "--B", "0")
         assert code == 2

@@ -1,4 +1,5 @@
 import json
+import re
 from fractions import Fraction
 from itertools import product
 
@@ -59,6 +60,17 @@ class TestRiemannHurwitz:
         with pytest.raises(ValueError):
             RamificationData(0, 10, (1,))
 
+    @pytest.mark.parametrize("args, message", [
+        ((0.5, 6, (2, 3)), "base_genus must be an int, got 0.5"),
+        ((True, 6, (2, 3)), "base_genus must be an int, got True"),
+        ((0, 6.0, (2, 3)), "group_order must be an int, got 6.0"),
+        ((0, 6, (2.0, 3)), "indices must be ints, got 2.0"),
+        ((0, 6, [2, Fraction(3)]), r"indices must be ints, got Fraction\(3, 1\)"),
+    ])
+    def test_non_int_data_rejected(self, args, message):
+        with pytest.raises(TypeError, match=message):
+            RamificationData(*args)
+
 
 class TestGenusFormulas:
     @pytest.mark.parametrize("n,g", [(2, 0), (3, 1), (7, 15)])
@@ -68,6 +80,13 @@ class TestGenusFormulas:
     @pytest.mark.parametrize("n,g", [(2, 0), (3, 1), (4, 13)])
     def test_heisenberg_values(self, n, g):
         assert heisenberg_genus(n) == g
+
+    @pytest.mark.parametrize("n", (2.5, 3.0, Fraction(3), True))
+    def test_non_int_n_rejected(self, n):
+        for genus in (fermat_genus, heisenberg_genus):
+            with pytest.raises(TypeError, match=r"n must be an int, got %s"
+                               % re.escape(repr(n))):
+                genus(n)
 
     @pytest.mark.parametrize("n", (3, 5, 7, 9, 11))
     def test_unramified_tower_identity_odd_n(self, n):

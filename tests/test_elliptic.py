@@ -144,6 +144,37 @@ def oracle_distinct_j(e1, e2):
     return e1.A**3 * e2.B**2 != e2.A**3 * e1.B**2
 
 
+def oracle_j_invariant(curve):
+    """j as j_invariant computed it in field arithmetic."""
+    four_a3 = 4 * curve.A**3
+    return 1728 * four_a3 / (four_a3 + 27 * curve.B**2)
+
+
+def oracle_field_classify_pair(e1, e2):
+    """classify_pair as it was with the ratios delta^3 = B2/B1,
+    delta^2 = A2/A1 and delta = B2 A1/(B1 A2) taken in the field."""
+    if oracle_distinct_j(e1, e2):
+        return Classification("distinct-j")
+    if e1.A.is_zero():
+        deltas = (e2.B / e1.B).cube_roots()
+    elif e1.B.is_zero():
+        try:
+            s = (e2.A / e1.A).sqrt()
+            deltas = [s, -s]
+        except NotASquare:
+            deltas = []
+    else:
+        deltas = [(e2.B / e1.B) / (e2.A / e1.A)]
+    for delta in deltas:
+        try:
+            return Classification("isomorphic", delta.sqrt())
+        except NotASquare:
+            continue
+    if deltas:
+        return Classification("quadratic-twist", deltas[0])
+    return Classification("same-j-only")
+
+
 def oracle_classify_pair(e1, e2):
     if e1.d != e2.d:
         raise ValueError("curves over different fields")
@@ -272,6 +303,7 @@ def oracle_contains(A, B, x, y):
 
 
 INT_CHECK_FIELDS = (-1, -3, -12, -27, -1000003)
+ORACLE_FIELDS = (-1, -3, -12, -1000003)
 
 
 WIDE_RATIONALS = st.builds(Fraction, st.integers(-10**6, 10**6),
@@ -442,20 +474,9 @@ class TestIntegerChecks:
         assert not oracle_singular(A, B)
         assert Curve(A, B).A == A
 
-    def test_construction_makes_no_field_multiplication(self, monkeypatch):
+    def test_construction_makes_no_field_multiplication(self, field_ops):
         A, B = QuadNum(2160, -2160, -3), QuadNum.of(-109296)
         x, y = quad(0), quad(0, 12)
-        counts = []
-        real = QuadNum.__mul__
-
-        def counting(self, other):
-            counts.append(1)
-            return real(self, other)
-
-        monkeypatch.setattr(QuadNum, "__mul__", counting)
-        monkeypatch.setattr(QuadNum, "__rmul__", counting)
-        assert quad(2) * 3 == 6 * quad(1) and len(counts) == 2
-        counts.clear()
         curve = Curve(A, B)
         BASE.point(x, y)
         Point(BASE, 12, 36)
@@ -464,7 +485,7 @@ class TestIntegerChecks:
             Curve.of(-3, 2)
         with pytest.raises(PointNotOnCurve):
             Point(curve, x, y)
-        assert counts == []
+        assert field_ops.calls == []
 
     def test_point_coerces_rational_coordinates(self):
         # regression: ints used to stay ints, and velu3 then failed on them
@@ -490,6 +511,24 @@ class TestJInvariant:
 
     def test_1728_for_vanishing_b(self):
         assert j_invariant(Curve.of(1, 0)) == quad(1728)
+
+    def test_makes_no_field_operation(self, field_ops):
+        curves = ROW_CURVES + [BASE, Curve.of(1, 0), Curve(
+            QuadNum(Fraction(1, 3), Fraction(2, 5)),
+            QuadNum(Fraction(7, 2), Fraction(-1, 9)))]
+        field_ops.calls.clear()
+        js = [j_invariant(c) for c in curves]
+        assert field_ops.calls == []
+        assert js == [oracle_j_invariant(c) for c in curves]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from(ORACLE_FIELDS), st.sampled_from(FAMILIES), st.data())
+    def test_matches_the_field_expression(self, d, family, data):
+        curve = data.draw(family_curves(d, family, shaped_field_elems))
+        j = j_invariant(curve)
+        assert j == oracle_j_invariant(curve)
+        if family != "generic":
+            assert j == (0 if family == "j=0" else 1728)
 
 
 class TestHessian:
@@ -853,6 +892,11 @@ class TestClassification:
     def test_wide_and_near_miss_pairs_match_oracle(self, pair):
         self.check_against_oracle(*pair)
 
+    @settings(max_examples=300, deadline=None)
+    @given(related_pairs(ORACLE_FIELDS, shaped_field_elems))
+    def test_scale_matches_the_field_ratios(self, pair):
+        assert classify_pair(*pair) == oracle_field_classify_pair(*pair)
+
     @pytest.mark.parametrize("d", INT_CHECK_FIELDS)
     def test_near_misses_in_one_component(self, d):
         # A1^3 B2^2 - A2^3 B1^2 is nonzero in only one of its two parts
@@ -881,30 +925,34 @@ class TestClassification:
             assert result.kind in ("isomorphic", "quadratic-twist")
             assert classify_pair(e2, e1).kind == result.kind
 
-    def test_distinct_j_makes_no_field_operation(self, monkeypatch):
-        counts = []
-
-        def counting(name):
-            real = getattr(QuadNum, name)
-
-            def counted(self, other):
-                counts.append(name)
-                return real(self, other)
-            return counted
-
-        names = ("__mul__", "__rmul__", "__pow__", "__truediv__",
-                 "__rtruediv__")
-        for name in names:
-            monkeypatch.setattr(QuadNum, name, counting(name))
-        assert quad(2) * 3 == 6 * quad(1) and quad(2)**2 / 2 == 2 / quad(1)
-        assert set(counts) == set(names)
-        counts.clear()
+    def test_distinct_j_makes_no_field_operation(self, field_ops):
         wide = Curve(QuadNum(Fraction(-7, 10**6), Fraction(3, 999983)),
                      QuadNum(Fraction(5, 12), Fraction(-1, 9)))
         for e1, e2 in [(ROW_CURVES[0], ROW_CURVES[3]), (BASE, ROW_CURVES[1]),
                        (ROW_CURVES[1], wide), (wide, BASE)]:
             assert classify_pair(e1, e2) == Classification("distinct-j")
-        assert counts == []
+        assert field_ops.calls == []
+
+    def test_same_j_works_in_the_field_only_for_roots(self, field_ops):
+        # the generic, j = 0 and j = 1728 paths, to each verdict they reach
+        u, nonsquare = quad(Fraction(2, 3), 1), quad(2, 1)
+        cases = [
+            (ROW_CURVES[1], ROW_CURVES[3], "isomorphic"),
+            (ROW_CURVES[3], Curve(4 * ROW_CURVES[3].A, 8 * ROW_CURVES[3].B),
+             "quadratic-twist"),
+            (BASE, ROW_CURVES[0], "isomorphic"),
+            (Curve.of(0, 1), Curve(quad(0), u**6), "isomorphic"),
+            (Curve.of(0, 1), Curve(quad(0), nonsquare**3), "quadratic-twist"),
+            (Curve.of(0, 1), Curve(quad(0), quad(1, 1)), "same-j-only"),
+            (Curve.of(Fraction(1, 5), 0), Curve(u**4 / 5, quad(0)), "isomorphic"),
+            (Curve.of(1, 0), Curve.of(4, 0), "quadratic-twist"),
+            (Curve.of(1, 0), Curve.of(2, 0), "same-j-only"),
+        ]
+        field_ops.calls.clear()
+        field_ops.exempt("sqrt", "cube_roots")
+        assert [classify_pair(e1, e2).kind for e1, e2, _ in cases] == [
+            kind for _, _, kind in cases]
+        assert field_ops.calls == []
 
     # j = 0 pairs whose B-ratio is irrational, which the oracle cannot split
     def test_j_zero_irrational_ratio_isomorphic(self):

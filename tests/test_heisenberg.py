@@ -1,3 +1,4 @@
+from fractions import Fraction
 from itertools import product
 
 import pytest
@@ -87,6 +88,17 @@ class TestMul:
     def test_modulus_mismatch_rejected(self):
         with pytest.raises(ModulusMismatch):
             HeisenbergElement.identity(3) * HeisenbergElement.identity(5)
+
+    @pytest.mark.parametrize("args, message", [
+        ((True, 1, 1, 1), "n must be an int, got True"),
+        ((3.0, 1, 1, 1), "n must be an int, got 3.0"),
+        ((3, 1.5, 0, 0), "x must be an int, got 1.5"),
+        ((3, 0, Fraction(1), 0), r"y must be an int, got Fraction\(1, 1\)"),
+        ((3, 0, 0, False), "z must be an int, got False"),
+    ])
+    def test_non_int_entries_rejected(self, args, message):
+        with pytest.raises(TypeError, match="HeisenbergElement " + message):
+            HeisenbergElement(*args)
 
     def test_associative_exhaustive_small(self):
         for n in (2, 3):

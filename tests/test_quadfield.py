@@ -319,6 +319,35 @@ class TestCubeRoots:
         assert len(value.cube_roots()) == linear
 
 
+class TestFieldOpsFixture:
+    def test_counts_each_operation(self, field_ops):
+        x = quad(2, 1)
+        for op, name in [
+            (lambda: x * 3, "__mul__"),
+            (lambda: 3 * x, "__rmul__"),
+            (lambda: x**2, "__pow__"),
+            (lambda: x / 2, "__truediv__"),
+            (lambda: 2 / x, "__rtruediv__"),
+            (x.inverse, "inverse"),
+        ]:
+            field_ops.calls.clear()
+            op()
+            assert field_ops.calls[0] == name
+        field_ops.calls.clear()
+        x + 1, x - 1, -x, x.conjugate(), x.norm(), x == 2
+        assert field_ops.calls == []
+
+    def test_exempt_methods_are_not_counted_inside(self, field_ops):
+        x = quad(2, 1)
+        square = x * x
+        assert field_ops.calls == ["__mul__"]
+        field_ops.exempt("sqrt")
+        assert square.sqrt() == x
+        assert field_ops.calls == ["__mul__"]
+        x * x
+        assert field_ops.calls == ["__mul__", "__mul__"]
+
+
 class TestSerialization:
     @given(field_elems)
     def test_json_roundtrip(self, a):

@@ -52,6 +52,12 @@ class TestReduction:
         with pytest.raises(ValueError):
             Word.from_str("a^")
 
+    @pytest.mark.parametrize("exp", (1.5, 2.0, True))
+    def test_non_int_exponent_rejected(self, exp):
+        with pytest.raises(TypeError,
+                           match="exponent of 'b' must be an int, got %r" % exp):
+            Word((("a", 1), ("b", exp)))
+
     @given(raw_words, raw_words, raw_words)
     def test_concatenation_associative(self, u, v, w):
         assert (u * v) * w == u * (v * w)
@@ -101,6 +107,13 @@ class TestEvaluation:
     @given(raw_words, small_n)
     def test_abelianization_factors_through_heisenberg(self, w, n):
         assert eval_in_abelianization(w, n) == eval_in_heisenberg(w, n).abelianize()
+
+    @pytest.mark.parametrize("n", (2.0, True))
+    def test_non_int_modulus_rejected_by_both_evaluations(self, n):
+        with pytest.raises(TypeError, match="n must be an int, got %r" % n):
+            eval_in_abelianization(COMMUTATOR, n)
+        with pytest.raises(TypeError, match="n must be an int, got %r" % n):
+            eval_in_heisenberg(COMMUTATOR, n)
 
 
 class TestKernels:
@@ -350,6 +363,8 @@ class TestAgainstOracle:
     def test_eval_bad_modulus(self, n):
         with pytest.raises(ValueError, match="modulus must be an integer >= 1"):
             eval_in_heisenberg(COMMUTATOR, n)
+        with pytest.raises(ValueError, match="modulus must be an integer >= 1"):
+            eval_in_abelianization(COMMUTATOR, n)
 
     def test_caller_syllables_are_kept(self):
         syllables = (("a", 2), ("b", -1), ("a", 1))

@@ -121,8 +121,10 @@ class PointClass:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ValueError("family must be one of %s" % (FAMILIES,))
+        if type(self.k) is not int:
+            raise TypeError("k must be an int, got %r" % (self.k,))
         if self.k < 0:
-            raise ValueError("k must be >= 0")
+            raise ValueError("k must be >= 0, got %r" % (self.k,))
 
     def exponents(self):
         k = Fraction(self.k)
@@ -135,14 +137,18 @@ class PointClass:
 
 
 def _check_modulus(n):
+    if type(n) is not int:
+        raise TypeError("n must be an int, got %r" % (n,))
     if n < 1:
-        raise ValueError("n must be >= 1, got %d" % (n,))
+        raise ValueError("n must be >= 1, got %r" % (n,))
 
 
 def is_fixed_by(point, a, b, n):
     """Whether the shift (a, b) fixes the point.  The stabilizer generator
     (u, v) is primitive, so (a, b) is a multiple of it exactly when the
     determinant a*v - b*u vanishes mod n."""
+    if type(a) is not int or type(b) is not int:
+        raise TypeError("the shift (a, b) must be ints, got %r" % ((a, b),))
     u, v = stabilizer_generator(point, n)
     return (a * v - b * u) % n == 0
 
@@ -194,6 +200,8 @@ class CoverRamification:
 def cover_ramification(n):
     """Odd n: unramified.  Even n: the n cusps over infinity each carry
     n/2 points, all with ramification index 2."""
+    if type(n) is not int:
+        raise TypeError("n must be an int, got %r" % (n,))
     if n < 2:
         raise ValueError("n must be >= 2")
     if n % 2 == 1:
@@ -209,6 +217,8 @@ def modular_aut_order(n):
     full Fermat automorphism group (Z/n)^2 x| S3 for odd n and only
     (Z/n)^2 x| Z/2 for even n.
     """
+    if type(n) is not int:
+        raise TypeError("n must be an int, got %r" % (n,))
     if n < 3:
         raise ValueError("n must be >= 3")
     if n % 2 == 1:

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations
 from math import lcm
 
 from .quadfield import (
@@ -418,22 +418,27 @@ _MONOMIALS = frozenset((i, j, 3 - i - j) for i in range(4) for j in range(4 - i)
 @dataclass(frozen=True)
 class Cubic:
     """Homogeneous degree-3 polynomial in X, Y, Z with rational coefficients,
-    keyed by exponent triples."""
+    keyed by exponent triples.  Each coefficient must be an int or a
+    Fraction, and each monomial may appear once."""
 
     coeffs: tuple  # sorted tuple of ((i, j, k), Fraction)
 
     def __post_init__(self):
         cleaned = {}
-        for (i, j, k), c in dict(self.coeffs).items():
-            c = Fraction(c)
-            if (i, j, k) not in _MONOMIALS:
+        for mono, c in self.coeffs:
+            if mono not in _MONOMIALS:
                 raise ValueError("monomial %r is not degree 3 in nonnegative "
-                                 "integer exponents" % ((i, j, k),))
-            if c != 0:
-                cleaned[(i, j, k)] = c
-        if not cleaned:
+                                 "integer exponents" % (mono,))
+            if mono in cleaned:
+                raise ValueError("monomial %r appears more than once" % (mono,))
+            if type(c) is not int and type(c) is not Fraction:
+                raise TypeError("the coefficient of %r must be an int or a "
+                                "Fraction, got %r" % (mono, c))
+            cleaned[mono] = Fraction(c)
+        coeffs = tuple(sorted((m, c) for m, c in cleaned.items() if c))
+        if not coeffs:
             raise ValueError("the zero polynomial is not a cubic")
-        object.__setattr__(self, "coeffs", tuple(sorted(cleaned.items())))
+        object.__setattr__(self, "coeffs", coeffs)
 
     @classmethod
     def from_dict(cls, mapping):
@@ -455,6 +460,14 @@ class Cubic:
         return " + ".join(terms)
 
 
+def _cubic(coeffs):
+    """A Cubic from a tuple of (monomial, nonzero Fraction) pairs that is
+    already sorted by monomial and free of repeats, unchecked."""
+    cubic = object.__new__(Cubic)
+    object.__setattr__(cubic, "coeffs", coeffs)
+    return cubic
+
+
 def _second_partials(mono):
     """(r, s, t, f) for r <= s: d^2/dv_r dv_s of the monomial is f * v_t."""
     out = []
@@ -471,11 +484,31 @@ def _second_partials(mono):
 
 
 _SECOND_PARTIALS = {m: _second_partials(m) for m in _MONOMIALS}
-# ((i, j, k), m): the product u_i v_j w_k of variables has exponent triple m
-_LINEAR_PRODUCTS = tuple(
-    (ijk, tuple(ijk.count(v) for v in range(3)))
-    for ijk in product(range(3), repeat=3)
-)
+_SORTED_MONOMIALS = tuple(sorted(_MONOMIALS))
+
+
+def _linear_product(u, v):
+    """u*v for linear forms (x, y, z coefficients) as a quadratic form with
+    coefficients of xx, xy, xz, yy, yz, zz."""
+    u0, u1, u2 = u
+    v0, v1, v2 = v
+    return (u0 * v0, u0 * v1 + u1 * v0, u0 * v2 + u2 * v0,
+            u1 * v1, u1 * v2 + u2 * v1, u2 * v2)
+
+
+def _minor(u, v, w, t):
+    """The quadratic form u*v - w*t of four linear forms."""
+    return tuple(p - q for p, q in zip(_linear_product(u, v),
+                                       _linear_product(w, t)))
+
+
+def _linear_times_quadratic(l, q):
+    """l*q as a cubic form, coefficients in _SORTED_MONOMIALS order."""
+    l0, l1, l2 = l
+    xx, xy, xz, yy, yz, zz = q
+    return (l2 * zz, l1 * zz + l2 * yz, l1 * yz + l2 * yy, l1 * yy,
+            l0 * zz + l2 * xz, l0 * yz + l1 * xz + l2 * xy, l0 * yy + l1 * xy,
+            l0 * xz + l2 * xx, l0 * xy + l1 * xx, l0 * xx)
 
 
 def hessian(cubic):
@@ -483,9 +516,10 @@ def hessian(cubic):
 
     With L the lcm of the coefficient denominators, L*F has integer
     coefficients, so each second partial of L*F is an integer linear form.
-    det H(L*F) = L^3 det H(F) is expanded in integers and divided by L^3
-    once per monomial.  Raises ZeroHessian when the determinant vanishes
-    identically (the cubic is a cone).
+    det H(L*F) = L^3 det H(F) is expanded in integers along the first row
+    of the symmetric matrix, from three 2x2 minors that are quadratic forms,
+    and divided by L^3 once per monomial.  Raises ZeroHessian when the
+    determinant vanishes identically (the cubic is a cone).
     """
     scale = lcm(*(c.denominator for _, c in cubic.coeffs))
     H = [[[0, 0, 0] for _ in range(3)] for _ in range(3)]
@@ -493,23 +527,18 @@ def hessian(cubic):
         n = coeff.numerator * (scale // coeff.denominator)
         for r, s, t, f in _SECOND_PARTIALS[mono]:
             H[r][s][t] += f * n
-    for r, s in ((0, 1), (0, 2), (1, 2)):
-        H[s][r] = H[r][s]
-    det = {}
-    for sign, (a, b, c) in (
-        (1, (0, 1, 2)), (1, (1, 2, 0)), (1, (2, 0, 1)),
-        (-1, (0, 2, 1)), (-1, (1, 0, 2)), (-1, (2, 1, 0)),
-    ):
-        u, v, w = H[0][a], H[1][b], H[2][c]
-        for (i, j, k), mono in _LINEAR_PRODUCTS:
-            term = u[i] * v[j] * w[k]
-            if term:
-                det[mono] = det.get(mono, 0) + sign * term
+    (h00, h01, h02), (_, h11, h12), (_, _, h22) = H
+    det = [(mono, p - q + r) for p, q, r, mono in zip(
+        _linear_times_quadratic(h00, _minor(h11, h22, h12, h12)),
+        _linear_times_quadratic(h01, _minor(h01, h22, h12, h02)),
+        _linear_times_quadratic(h02, _minor(h01, h12, h11, h02)),
+        _SORTED_MONOMIALS,
+    )]
     cube = scale**3
-    det = {m: Fraction(n, cube) for m, n in det.items() if n}
-    if not det:
+    coeffs = tuple((mono, Fraction(n, cube)) for mono, n in det if n)
+    if not coeffs:
         raise ZeroHessian(cubic)
-    return Cubic.from_dict(det)
+    return _cubic(coeffs)
 
 
 def fermat_cubic_weierstrass():

@@ -28,7 +28,15 @@ DEFAULT_D = -3
 
 
 class NotASquare(ArithmeticError):
-    """No square root exists inside the field."""
+    """No square root of value exists inside its field.  The message is
+    built only when the error is shown."""
+
+    def __init__(self, value):
+        super().__init__(value)
+        self.value = value
+
+    def __str__(self):
+        return "%s is not a square in Q(sqrt %d)" % (self.value, self.value.d)
 
 
 class UnsupportedFactorization(ArithmeticError):
@@ -48,17 +56,6 @@ class FieldMismatch(ValueError):
 def _check_d(d):
     if type(d) is not int or d >= 0:
         raise ValueError("d must be a negative integer, got %r" % (d,))
-
-
-def rational_sqrt(value):
-    """Exact square root of a nonnegative rational, or None."""
-    if value < 0:
-        return None
-    num, den = value.numerator, value.denominator
-    rn, rd = isqrt(num), isqrt(den)
-    if rn * rn == num and rd * rd == den:
-        return Fraction(rn, rd)
-    return None
 
 
 class QuadNum:
@@ -216,34 +213,41 @@ class QuadNum:
         Of the two roots +-r, returns the one with positive rational part,
         or positive sqrt(d)-part when the rational part vanishes.  Raises
         NotASquare when no root lies in the field.
-        """
-        if self.is_zero():
-            return self
-        if self.q == 0:
-            u = rational_sqrt(self.p)
-            if u is not None:
-                return _quad(u, _ZERO, self.d)
-            v = rational_sqrt(self.p / self.d)
-            if v is not None:
-                return _quad(_ZERO, v, self.d)
-            raise NotASquare("%s is not a square in Q(sqrt %d)" % (self, self.d))
-        # (u + v sqrt d)^2 = self  =>  u^2 is a root of t^2 - p t + d q^2/4
-        s = rational_sqrt(self.norm())
-        if s is not None:
-            for t in ((self.p + s) / 2, (self.p - s) / 2):
-                u = rational_sqrt(t)
-                if u is not None and u != 0:
-                    v = self.q / (2 * u)
-                    root = _quad(u, v, self.d)
-                    if root * root == self:
-                        return self._normalize_sign(root)
-        raise NotASquare("%s is not a square in Q(sqrt %d)" % (self, self.d))
 
-    @staticmethod
-    def _normalize_sign(root):
-        if root.p > 0 or (root.p == 0 and root.q > 0):
-            return root
-        return -root
+        Works in integers: with self = (a + b sqrt d)/m, A = a m and
+        B = b m, self = (A + B sqrt d)/m^2.  For B = 0 the root is
+        isqrt(A)/m or isqrt(A d)/(m |d|) sqrt d.  Otherwise a root
+        (u + v sqrt d)/m has u^2 + d v^2 = A and 2uv = B, so u^2 is a root
+        of t^2 - A t + d B^2/4 and r = 2u has r^2 = 2(A + s) with
+        s^2 = A^2 - d B^2; as d < 0, s > |A| and A - s is negative.  The
+        root is (r/2 + (B/r) sqrt d)/m with r > 0, exactly when
+        r^4 + 4 d B^2 = 4 A r^2.
+        """
+        a, b, m = self._ints()
+        d = self.d
+        A = a * m
+        if not b:
+            if not a:
+                return self
+            if a > 0:
+                r = isqrt(A)
+                if r * r == A:
+                    return _quad(Fraction(r, m), _ZERO, d)
+            else:
+                r = isqrt(A * d)
+                if r * r == A * d:
+                    return _quad(_ZERO, Fraction(r, -m * d), d)
+            raise NotASquare(self)
+        B = b * m
+        dB2 = d * B * B
+        norm = A * A - dB2
+        s = isqrt(norm)
+        if s * s == norm:
+            r = isqrt(2 * (A + s))
+            r2 = r * r
+            if r2 * r2 + 4 * dB2 == 4 * A * r2:
+                return _quad(Fraction(r, 2 * m), Fraction(B, r * m), d)
+        raise NotASquare(self)
 
     def cube_roots(self):
         """The distinct c in the field with c^3 = self, rational ones first.

@@ -186,6 +186,28 @@ class TestStabilizers:
         with pytest.raises(ValueError):
             PointClass("R", 0)
 
+    @pytest.mark.parametrize("value", (1.5, 2.0, True, Fraction(1)))
+    def test_non_int_arguments_rejected(self, value):
+        message = re.escape(repr(value))
+        with pytest.raises(TypeError, match="k must be an int, got " + message):
+            PointClass("P", value)
+        point = PointClass("P", 1)
+        for fn in (stabilizer_generator, stabilizer_subgroup, orbit_size):
+            with pytest.raises(TypeError, match="n must be an int, got " + message):
+                fn(point, value)
+        with pytest.raises(TypeError, match=message):
+            is_fixed_by(point, value, 0, 3)
+        with pytest.raises(TypeError, match=message):
+            is_fixed_by(point, 0, value, 3)
+        with pytest.raises(TypeError, match="n must be an int, got " + message):
+            is_fixed_by(point, 0, 0, value)
+
+    def test_small_modulus_message_keeps_its_value(self):
+        with pytest.raises(ValueError, match="got -2$"):
+            orbit_size(PointClass("P", 1), -2)
+        with pytest.raises(ValueError, match="got -1$"):
+            PointClass("Q", -1)
+
 
 class TestCoverRamification:
     def test_odd_n_unramified(self):
@@ -220,6 +242,13 @@ class TestModularAutOrder:
         value, tag = modular_aut_order(n)
         assert value == order
         assert "S3" in tag if n % 2 else "Z/2" in tag
+
+    @pytest.mark.parametrize("n", (3.5, 4.0, True, Fraction(5)))
+    def test_non_int_n_rejected(self, n):
+        for fn in (modular_aut_order, cover_ramification):
+            with pytest.raises(TypeError, match="n must be an int, got %s"
+                               % re.escape(repr(n))):
+                fn(n)
 
 
 class TestConsistency:

@@ -2,6 +2,7 @@ import copy
 import pickle
 from collections import Counter
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -15,7 +16,6 @@ from heiscurve.quadfield import (
     find_field_roots,
     poly_deflate,
     poly_eval,
-    rational_sqrt,
     zeta3,
 )
 
@@ -52,6 +52,69 @@ def _expand(roots):
     for r in roots:
         coeffs = _mul(coeffs, [quad(-r), quad(1)])
     return coeffs
+
+
+def _oracle_rational_sqrt(value):
+    """The nonnegative rational square root of a Fraction, or None."""
+    if value < 0:
+        return None
+    rn, rd = isqrt(value.numerator), isqrt(value.denominator)
+    if rn * rn == value.numerator and rd * rd == value.denominator:
+        return Fraction(rn, rd)
+    return None
+
+
+def oracle_sqrt(x):
+    """The earlier QuadNum.sqrt on Fractions: u^2 is a root of
+    t^2 - p t + d q^2/4, v = q/(2u), the root is checked by squaring in
+    the field, and the one with positive rational part (else positive
+    sqrt(d)-part) is kept.  None when no root lies in the field."""
+    if x.is_zero():
+        return x
+    if x.q == 0:
+        u = _oracle_rational_sqrt(x.p)
+        if u is not None:
+            return QuadNum(u, 0, x.d)
+        v = _oracle_rational_sqrt(x.p / x.d)
+        return None if v is None else QuadNum(0, v, x.d)
+    s = _oracle_rational_sqrt(x.norm())
+    if s is None:
+        return None
+    for t in ((x.p + s) / 2, (x.p - s) / 2):
+        u = _oracle_rational_sqrt(t)
+        if u is not None and u != 0:
+            root = QuadNum(u, x.q / (2 * u), x.d)
+            if root * root == x:
+                return root if root.p > 0 or (root.p == 0 and root.q > 0) else -root
+    return None
+
+
+SQRT_FIELDS = (-1, -2, -3, -12, -1000003)
+wide_rationals = st.fractions(max_denominator=10**4, min_value=-10**6,
+                              max_value=10**6)
+
+
+@st.composite
+def sqrt_inputs(draw):
+    """Squares, squares times a random (mostly non-square) element,
+    rationals (squares, d times squares, and any) and pure sqrt(d)
+    elements, over each of SQRT_FIELDS."""
+    d = draw(st.sampled_from(SQRT_FIELDS))
+
+    def elem():
+        return QuadNum(draw(wide_rationals), draw(wide_rationals), d)
+
+    kind = draw(st.sampled_from(("square", "square-times", "rational", "pure")))
+    if kind == "square":
+        r = elem()
+        return r * r
+    if kind == "square-times":
+        r = elem()
+        return r * r * elem()
+    if kind == "rational":
+        r = draw(wide_rationals)
+        return QuadNum(draw(st.sampled_from((r, r * r, -r * r, d * r * r))), 0, d)
+    return QuadNum(0, draw(wide_rationals), d)
 
 
 class TestConstruction:
@@ -264,9 +327,42 @@ class TestSqrt:
         assert r == a or r == -a
 
     def test_rational_sqrt(self):
-        assert rational_sqrt(Fraction(9, 4)) == Fraction(3, 2)
-        assert rational_sqrt(Fraction(2)) is None
-        assert rational_sqrt(Fraction(-1)) is None
+        assert quad(Fraction(9, 4)).sqrt() == quad(Fraction(3, 2))
+        with pytest.raises(NotASquare):
+            quad(2).sqrt()
+        with pytest.raises(NotASquare):
+            quad(-1).sqrt()  # -1 = (1/3) (sqrt -3)^2 and 1/3 is no square
+
+    @settings(max_examples=400, deadline=None)
+    @given(sqrt_inputs())
+    def test_matches_the_fraction_algorithm(self, x):
+        expected = oracle_sqrt(x)
+        if expected is None:
+            with pytest.raises(NotASquare):
+                x.sqrt()
+        else:
+            assert x.sqrt() == expected
+
+    def test_makes_no_field_operation(self, field_ops):
+        for x in (quad(Fraction(9, 4)), quad(-432), quad(-2, 2), zeta3(),
+                  quad(2), quad(0, 1), quad(Fraction(1, 3), Fraction(2, 5)),
+                  quad(0)):
+            try:
+                x.sqrt()
+            except NotASquare:
+                pass
+        assert field_ops.calls == []
+
+    def test_not_a_square_carries_its_value(self):
+        x = quad(2, 1)
+        with pytest.raises(NotASquare) as info:
+            x.sqrt()
+        error = info.value
+        assert error.value is x
+        assert str(error) == "2 + √-3 is not a square in Q(sqrt -3)"
+        clone = pickle.loads(pickle.dumps(error))
+        assert type(clone) is NotASquare
+        assert clone.value == x and str(clone) == str(error)
 
 
 class TestCubeRoots:
@@ -339,13 +435,13 @@ class TestFieldOpsFixture:
 
     def test_exempt_methods_are_not_counted_inside(self, field_ops):
         x = quad(2, 1)
-        square = x * x
-        assert field_ops.calls == ["__mul__"]
-        field_ops.exempt("sqrt")
-        assert square.sqrt() == x
-        assert field_ops.calls == ["__mul__"]
+        cube = x * x * x
+        assert field_ops.calls == ["__mul__"] * 2
+        field_ops.exempt("cube_roots")
+        assert x in cube.cube_roots()
+        assert field_ops.calls == ["__mul__"] * 2
         x * x
-        assert field_ops.calls == ["__mul__", "__mul__"]
+        assert field_ops.calls == ["__mul__"] * 3
 
 
 class TestSerialization:

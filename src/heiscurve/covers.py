@@ -220,7 +220,7 @@ def modular_aut_order(n):
     if type(n) is not int:
         raise TypeError("n must be an int, got %r" % (n,))
     if n < 3:
-        raise ValueError("n must be >= 3")
+        raise ValueError("n must be >= 3, got %r" % (n,))
     if n % 2 == 1:
         return n * 6 * n * n, "Z/n . ((Z/n)^2 x| S3)"
     return n * 2 * n * n, "Z/n . ((Z/n)^2 x| Z/2)"
@@ -286,6 +286,8 @@ def audit_signature_claims(n_max=12):
     verdicts, not adjudicated.  The first claim is at n = 3, so n_max < 3
     raises ValueError.
     """
+    if type(n_max) is not int:
+        raise TypeError("n_max must be an int, got %r" % (n_max,))
     if n_max < 3:
         raise ValueError("n_max must be at least 3, the smallest n with a "
                          "recorded claim; got %r" % (n_max,))
@@ -332,24 +334,28 @@ def audit_signature_claims(n_max=12):
 # Bounds from the automorphism-group order argument (even n).
 # ---------------------------------------------------------------------------
 
+def _check_bound_n(n):
+    if type(n) is not int:
+        raise TypeError("n must be an int, got %r" % (n,))
+    if n < 4 or n % 2 != 0:
+        raise ValueError("the bound applies to even n >= 4, got %r" % (n,))
+
+
 def m_bound(n):
     """Upper bound 2 - 5/n for the index m in the order argument."""
-    if n < 4 or n % 2 != 0:
-        raise ValueError("the bound applies to even n >= 4")
+    _check_bound_n(n)
     return Fraction(2) - Fraction(5, n)
 
 
 def b3(n):
     """Bound 3(2n-5) / (n(3n+2)) for the period-3 case."""
-    if n < 4 or n % 2 != 0:
-        raise ValueError("the bound applies to even n >= 4")
+    _check_bound_n(n)
     return Fraction(3 * (2 * n - 5), n * (3 * n + 2))
 
 
 def b4(n):
     """Bound (2n-5) / (n^2+n) for the period-4 case."""
-    if n < 4 or n % 2 != 0:
-        raise ValueError("the bound applies to even n >= 4")
+    _check_bound_n(n)
     return Fraction(2 * n - 5, n * n + n)
 
 
@@ -483,8 +489,10 @@ class FermatAutGroup:
 
 def build_fermat_aut(n, verify=True):
     """Construct the group; verify=True (the default) checks its axioms."""
+    if type(n) is not int:
+        raise TypeError("n must be an int, got %r" % (n,))
     if n < 3:
-        raise ValueError("n must be >= 3")
+        raise ValueError("n must be >= 3, got %r" % (n,))
     group = FermatAutGroup(n)
     if verify:
         group.verify_axioms()

@@ -426,7 +426,9 @@ class Cubic:
     def __post_init__(self):
         cleaned = {}
         for mono, c in self.coeffs:
-            if mono not in _MONOMIALS:
+            # a tuple of ints is hashable, so the set lookup cannot raise
+            if (type(mono) is not tuple or any(type(e) is not int for e in mono)
+                    or mono not in _MONOMIALS):
                 raise ValueError("monomial %r is not degree 3 in nonnegative "
                                  "integer exponents" % (mono,))
             if mono in cleaned:

@@ -15,8 +15,12 @@ d = -3.
 Also provides root finding for polynomials of degree <= 4 with coefficients
 in the field, by a p-adic rational-root search (Hensel lifting) plus
 explicit quadratic-formula solving; rational quartics without linear
-factors go through the resolvent cubic.  Quartics that do not split into
-factors of degree <= 2 over the field raise UnsupportedFactorization.
+factors go through the resolvent cubic.  Written as p + q sqrt(d) with p, q
+rational, a polynomial has the rational root r exactly when p(r) = q(r) = 0,
+so candidates come from one part and the multiplicity of each is found in
+integers, by exact division of both cleared parts.  Quartics that do not
+split into factors of degree <= 2 over the field raise
+UnsupportedFactorization.
 """
 
 from __future__ import annotations
@@ -62,8 +66,10 @@ class QuadNum:
     """p + q*sqrt(d): an immutable slotted element of Q(sqrt d).
 
     The public constructor checks d on every call and turns p and q into
-    Fractions.  Results of field operations and coercions of ints and
-    Fractions are built by _quad, which stores the Fractions as they are.
+    Fractions; they must be ints (not bools) or Fractions, as must the
+    value given to QuadNum.of, and anything else raises TypeError.
+    Results of field operations and coercions of ints and Fractions are
+    built by _quad, which stores the Fractions as they are.
     """
 
     __slots__ = ("p", "q", "d")
@@ -107,7 +113,8 @@ class QuadNum:
                 raise FieldMismatch(self.d, other.d)
             return other
         if isinstance(other, (int, Fraction)):
-            return _quad(_fraction(other), _ZERO, self.d)
+            return _quad(other if type(other) is Fraction else Fraction(other),
+                         _ZERO, self.d)
         return None
 
     def __add__(self, other):
@@ -314,7 +321,12 @@ _set_d = QuadNum.d.__set__
 
 
 def _fraction(x):
-    return x if type(x) is Fraction else Fraction(x)
+    """x as a Fraction, for an int (not a bool) or a Fraction."""
+    if type(x) is Fraction:
+        return x
+    if type(x) is int:
+        return Fraction(x)
+    raise TypeError("an exact value must be an int or a Fraction, got %r" % (x,))
 
 
 def _quad(p, q, d):
@@ -421,6 +433,41 @@ def _squarefree_part(f):
     return _primitive(_exact_quotient(f, a))
 
 
+def _cleared(coeffs):
+    """The rational polynomial coeffs times the lcm of its denominators."""
+    fracs = [Fraction(c) for c in coeffs]
+    m = lcm(*[c.denominator for c in fracs])
+    return [c.numerator * (m // c.denominator) for c in fracs]
+
+
+def _multiplicity(f, root, most):
+    """How many times, counted up to most, (x - root) divides the integer
+    polynomial f; the zero polynomial counts as most.
+
+    With root = n/m in lowest terms, m x - n is primitive, so by Gauss's
+    lemma it divides f over Q exactly when f = (m x - n) s over Z: from the
+    top down s[i-1] = (f[i] + n s[i]) / m must be exact, and f[0] + n s[0]
+    must vanish.
+    """
+    if not any(f):
+        return most
+    n, m = root.numerator, root.denominator
+    k = 0
+    while k < most:
+        s, quotient = 0, []
+        for c in reversed(f[1:]):
+            s, rest = divmod(c + n * s, m)
+            if rest:
+                return k
+            quotient.append(s)
+        if f[0] + n * s:
+            return k
+        quotient.reverse()
+        f = quotient
+        k += 1
+    return k
+
+
 def _odd_primes():
     p = 3
     while True:
@@ -445,11 +492,7 @@ def _rational_roots(coeffs):
     disc(f), so the prime search ends.  Without the squarefree part it
     would not: a repeated rational root is a repeated root mod every p.
     """
-    fracs = [Fraction(c) for c in coeffs]
-    lcm = 1
-    for c in fracs:
-        lcm = lcm * c.denominator // gcd(lcm, c.denominator)
-    f = [int(c * lcm) for c in fracs]
+    f = _cleared(coeffs)
     while f and f[-1] == 0:
         f.pop()
     while f and f[0] == 0:
@@ -558,14 +601,17 @@ def find_field_roots(coeffs, d=DEFAULT_D):
         roots.append(zero)
         poly = poly[1:]
     if len(poly) >= 4:
-        # a rational root is a common root of the rational and sqrt(d)
-        # parts of the coefficient list
-        base = [c.p for c in poly]
-        if not any(base):
-            base = [c.q for c in poly]
-        for r in _rational_roots(base):
-            x = QuadNum.of(r, d)
-            while len(poly) >= 4 and poly_eval(poly, x).is_zero():
+        # written as p + q sqrt(d) with p, q rational, the polynomial has the
+        # rational root r exactly when p(r) = q(r) = 0, and (x - r)^k divides
+        # it exactly when it divides both parts: candidates come from one
+        # part, their multiplicity from both, in integers
+        parts = [_cleared([c.p for c in poly]), _cleared([c.q for c in poly])]
+        for r in _rational_roots(parts[0] if any(parts[0]) else parts[1]):
+            k = len(poly) - 3
+            for f in parts:
+                k = _multiplicity(f, r, k)
+            x = _quad(r, _ZERO, d)
+            for _ in range(k):
                 roots.append(x)
                 poly = poly_deflate(poly, x)
     if len(poly) >= 4:

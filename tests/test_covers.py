@@ -304,6 +304,12 @@ class TestAudit:
         second = [v.to_json_dict() for v in audit_signature_claims(10)]
         assert first == second
 
+    @pytest.mark.parametrize("n_max", (3.5, 12.0, True, Fraction(12)))
+    def test_non_int_n_max_rejected(self, n_max):
+        with pytest.raises(TypeError, match="n_max must be an int, got %s"
+                           % re.escape(repr(n_max))):
+            audit_signature_claims(n_max)
+
 
 class TestBounds:
     def test_defect_of_empty_list(self):
@@ -324,8 +330,16 @@ class TestBounds:
             assert m_bound(n) < 2
 
     def test_odd_n_rejected(self):
-        with pytest.raises(ValueError):
-            b3(5)
+        for bound in (m_bound, b3, b4):
+            with pytest.raises(ValueError, match="got 5$"):
+                bound(5)
+
+    @pytest.mark.parametrize("n", (4.0, 6.0, 3.5, True, Fraction(6)))
+    def test_non_int_n_rejected(self, n):
+        for bound in (m_bound, b3, b4):
+            with pytest.raises(TypeError, match="n must be an int, got %s"
+                               % re.escape(repr(n))):
+                bound(n)
 
 
 def exhaustive_axiom_check(group):
@@ -433,8 +447,14 @@ class TestFermatAutGroup:
         assert symmetry_matrix("cycle_xyz", n) == ((n - 1, n - 1), (1, 0))
 
     def test_bound_enforced(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="got 2$"):
             build_fermat_aut(2)
+
+    @pytest.mark.parametrize("n", (3.5, 4.0, True, Fraction(4)))
+    def test_non_int_n_rejected(self, n):
+        with pytest.raises(TypeError, match="n must be an int, got %s"
+                           % re.escape(repr(n))):
+            build_fermat_aut(n)
 
     def test_large_n_builds_and_verifies(self):
         assert build_fermat_aut(10**6).order == 6 * 10**12

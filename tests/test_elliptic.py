@@ -6,7 +6,7 @@ from math import lcm
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from heiscurve import elliptic
+from heiscurve import elliptic, quadfield
 from heiscurve.elliptic import (
     Classification,
     BadKernelPoint,
@@ -447,6 +447,20 @@ class TestCurve:
         with pytest.raises(SingularCurve):
             Curve(-3, 2)
 
+    @pytest.mark.parametrize("value", [0.5, True, "1/2", None])
+    def test_inexact_coefficients_rejected(self, value):
+        # regression: Curve(0.5, 1) stored the float as a Fraction, and
+        # Point(Curve(0, 1), 0.0, True) printed (0 : 1 : 1)
+        message = re.escape(repr(value))
+        with pytest.raises(TypeError, match=message):
+            Curve(value, 1)
+        with pytest.raises(TypeError, match=message):
+            Curve.of(1, value)
+        with pytest.raises(TypeError, match=message):
+            Point(Curve(0, 1), value, 1)
+        with pytest.raises(TypeError, match=message):
+            Point(Curve(0, 1), 0, value)
+
     def test_keeps_field_coefficients_as_given(self):
         A, B = QuadNum(2160, -2160, -3), QuadNum.of(-109296)
         curve = Curve(A, B)
@@ -661,6 +675,15 @@ class TestHessian:
         with pytest.raises(ValueError, match=re.escape(repr((3, 0, 0)))):
             Cubic((((3, 0, 0), 1), ((3, 0, 0), 2)))
 
+    @pytest.mark.parametrize("mono", [[3, 0, 0], (3.0, 0, 0), (True, 2, 0),
+                                      (3, 0, [0]), "300", (4, 0, -1)])
+    def test_monomial_must_be_an_exponent_triple(self, mono):
+        # regression: a list raised a bare "unhashable type: 'list'", and
+        # (3.0, 0, 0) compared equal to (3, 0, 0) and was kept
+        message = r"monomial %s is not degree 3" % re.escape(repr(mono))
+        with pytest.raises(ValueError, match=message):
+            Cubic(((mono, 1),))
+
     @pytest.mark.parametrize("value", [0.1, True, 2.0, "1", None])
     def test_coefficients_must_be_int_or_fraction(self, value):
         message = r"\(0, 3, 0\).*%s" % re.escape(repr(value))
@@ -719,6 +742,24 @@ class TestThreeTorsion:
         assert {(p.x, p.y) for p in torsion.points} == {(quad(0), quad(m)),
                                                       (quad(0), quad(-m))}
         assert torsion.missing_y == 0 and torsion.missing_x == 3
+
+    def test_rational_curve_makes_no_field_evaluation(self, monkeypatch):
+        # the rational roots of psi_3 and their multiplicity are decided in
+        # integers; y^2 = x^3 + x - 2/3 has psi_3(1) = 0 planted
+        calls = []
+        real = quadfield.poly_eval
+
+        def counting(coeffs, x):
+            calls.append(x)
+            return real(coeffs, x)
+
+        monkeypatch.setattr(quadfield, "poly_eval", counting)
+        monkeypatch.setattr(elliptic, "poly_eval", counting)
+        planted = Curve.of(1, Fraction(-2, 3))
+        for curve in (BASE, Curve.of(0, 16), planted):
+            three_torsion(curve)
+        assert quad(1) in find_field_roots(division_poly_3(planted))[0]
+        assert calls == []
 
     def test_hessian_flexes_match_division_polynomial(self):
         # Hess = 24x(y^2 - 1296 z^2): the x = 0 branch plus the y^2 = 1296

@@ -1,5 +1,6 @@
 import copy
 import pickle
+import re
 from collections import Counter
 from fractions import Fraction
 from math import isqrt
@@ -16,6 +17,7 @@ from heiscurve.quadfield import (
     find_field_roots,
     poly_deflate,
     poly_eval,
+    poly_normalize,
     zeta3,
 )
 
@@ -39,7 +41,7 @@ def quad(p, q=0, d=-3):
 
 
 def _mul(a, b):
-    out = [quad(0)] * (len(a) + len(b) - 1)
+    out = [QuadNum.of(0, a[0].d)] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         for j, y in enumerate(b):
             out[i + j] = out[i + j] + x * y
@@ -87,6 +89,74 @@ def oracle_sqrt(x):
             if root * root == x:
                 return root if root.p > 0 or (root.p == 0 and root.q > 0) else -root
     return None
+
+
+def oracle_find_field_roots(coeffs, d):
+    """find_field_roots with the earlier rational-root step: every
+    candidate is checked with poly_eval on the field polynomial and
+    deflated while it is a root and the polynomial has degree >= 3.  What
+    is left has no rational root in that range, and goes to
+    find_field_roots."""
+    poly = poly_normalize(coeffs, d)
+    if not 2 <= len(poly) <= 5:
+        return find_field_roots(coeffs, d)
+    roots = []
+    zero = QuadNum.of(0, d)
+    while len(poly) >= 2 and poly[0].is_zero():
+        roots.append(zero)
+        poly = poly[1:]
+    if len(poly) >= 4:
+        base = [c.p for c in poly]
+        if not any(base):
+            base = [c.q for c in poly]
+        for r in _rational_roots(base):
+            x = QuadNum.of(r, d)
+            while len(poly) >= 4 and poly_eval(poly, x).is_zero():
+                roots.append(x)
+                poly = poly_deflate(poly, x)
+    rest, outside = find_field_roots(poly, d)
+    return roots + rest, outside
+
+
+def _outcome(finder, coeffs, d):
+    try:
+        return finder(coeffs, d)
+    except UnsupportedFactorization:
+        return "UnsupportedFactorization"
+
+
+@st.composite
+def planted_root_polys(draw):
+    """(coeffs, d): rational roots of multiplicity 1-3 times a factor
+    a + b sqrt(d) over K = Q(sqrt d) of degree 2 (1 after three roots).
+    a and b are rational, random or split with roots from the planted pool
+    now and then, so a root may be repeated in one part only.  b = 0 gives
+    a rational polynomial ("rational"), a = 0 a pure sqrt(d) one ("pure");
+    otherwise each planted root is a common root of both parts."""
+    d = draw(st.sampled_from((-1, -2, -3, -7)))
+    kind = draw(st.sampled_from(("rational", "irrational", "pure")))
+    pool = draw(st.lists(rationals, min_size=1, max_size=2))
+    planted = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=3))
+    degree = 1 if len(planted) == 3 else 2
+
+    def rational_factor():
+        if draw(st.booleans()):
+            return [draw(rationals) for _ in range(degree + 1)]
+        out = [draw(rationals)]
+        for _ in range(degree):
+            r = draw(st.sampled_from(pool) if draw(st.booleans()) else rationals)
+            out = [a - r * b for a, b in zip([0] + out, out + [0])]
+        return out
+
+    zeros = [0] * (degree + 1)
+    a = zeros if kind == "pure" else rational_factor()
+    b = zeros if kind == "rational" else rational_factor()
+    factor = [QuadNum(p, q, d) for p, q in zip(a, b)]
+    assume(not factor[-1].is_zero())
+    coeffs = factor
+    for r in planted:
+        coeffs = _mul(coeffs, [QuadNum.of(-r, d), QuadNum.of(1, d)])
+    return coeffs, d
 
 
 SQRT_FIELDS = (-1, -2, -3, -12, -1000003)
@@ -170,6 +240,30 @@ class TestConstruction:
             for _ in range(2):
                 with pytest.raises(ValueError, match=names_d):
                     call()
+
+    @pytest.mark.parametrize("value", [0.1, True, False, "1/2", 2.0, None])
+    def test_only_ints_and_fractions_are_exact_values(self, value):
+        # regression: QuadNum(0.1, True) and QuadNum("1/2", 0) were accepted
+        message = re.escape(repr(value))
+        calls = [
+            lambda: QuadNum(value, 0),
+            lambda: QuadNum(0, value),
+            lambda: QuadNum.of(value),
+            lambda: QuadNum.of(value, -1),
+            lambda: find_field_roots([value, 1]),
+            lambda: find_field_roots([1, value]),
+        ]
+        for call in calls:
+            with pytest.raises(TypeError, match=message):
+                call()
+
+    def test_arithmetic_still_coerces_bools(self):
+        # only construction is strict: comparing with or adding a bool is
+        # int arithmetic, as for Fractions
+        assert QuadNum(1, 0) == True  # noqa: E712
+        assert (QuadNum(0, 1) == False) is False  # noqa: E712
+        assert QuadNum(1, 1) + True == QuadNum(2, 1)
+        assert QuadNum(1, 0) != 0.5
 
     @pytest.mark.parametrize("name", ["p", "q", "d"])
     def test_immutable(self, name):
@@ -618,6 +712,44 @@ class TestRootFinding:
             quad(r) for r in planted)
         assert [r for r in roots if not r.is_rational()] == irrational_roots
         assert outside == len(coeffs) - 1 - len(roots)
+
+    @settings(max_examples=300, deadline=None)
+    @given(planted_root_polys())
+    def test_matches_the_poly_eval_deflation(self, poly_d):
+        coeffs, d = poly_d
+        expected = _outcome(oracle_find_field_roots, coeffs, d)
+        assert _outcome(find_field_roots, coeffs, d) == expected
+        if expected != "UnsupportedFactorization":
+            roots = expected[0]
+            assert all(poly_eval(coeffs, r).is_zero() for r in roots)
+
+    def test_multiplicity_from_both_parts(self):
+        # sqrt(-3) (x - 2)^3 (x - 1) + (x - 2) (x - 1)^2 (x + 5): 2 is a root of
+        # both parts, simple in the rational part, so it is found once
+        s = quad(0, 1)
+        sqrt_part = _expand([Fraction(2)] * 3 + [Fraction(1)])
+        rational_part = _expand([Fraction(2), Fraction(1), Fraction(1), Fraction(-5)])
+        coeffs = [s * a + b for a, b in zip(sqrt_part, rational_part)]
+        roots, outside = find_field_roots(coeffs)
+        assert (roots, outside) == oracle_find_field_roots(coeffs, -3)
+        assert roots.count(quad(2)) == 1 and roots.count(quad(1)) == 1
+
+    def test_makes_no_field_evaluation(self, monkeypatch):
+        from heiscurve import quadfield
+
+        calls = []
+        real = quadfield.poly_eval
+
+        def counting(coeffs, x):
+            calls.append(x)
+            return real(coeffs, x)
+
+        monkeypatch.setattr(quadfield, "poly_eval", counting)
+        coeffs = _expand([Fraction(2)] * 3 + [Fraction(-1, 3)])
+        # -1/3 comes first, then 2 once down to a quadratic, (x - 2)^2
+        assert find_field_roots([quad(0, 5) * c for c in coeffs]) == (
+            [quad(Fraction(-1, 3))] + [quad(2)] * 3, 0)
+        assert calls == []
 
     @settings(max_examples=40, deadline=None)
     @given(st.lists(st.tuples(st.integers(-30, 30), st.integers(1, 12)), max_size=2),

@@ -379,20 +379,29 @@ _MATH_ERRORS = (
 )
 
 
+def _report(args, exc, prefix, code):
+    """Report exc and return code: one JSON line {"error", "message"} on
+    stdout when the parsed command asked for --format json, else
+    'prefix: message' on stderr."""
+    if args is not None and args.format == "json":
+        print(json.dumps({"error": type(exc).__name__, "message": str(exc)}))
+    else:
+        print("%s: %s" % (prefix, exc), file=sys.stderr)
+    return code
+
+
 def main(argv=None):
     parser = build_parser()
+    args = None
     try:
         args = parser.parse_args(argv)
         return _DISPATCH[args.command](args)
     except CliError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return exc.code
+        return _report(args, exc, "error", exc.code)
     except _MATH_ERRORS as exc:
-        print("math error: %s" % exc, file=sys.stderr)
-        return MATH_ERROR
+        return _report(args, exc, "math error", MATH_ERROR)
     except ValueError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return USAGE_ERROR
+        return _report(args, exc, "error", USAGE_ERROR)
 
 
 def entry():

@@ -34,6 +34,7 @@ from .quadfield import (
     FieldMismatch,
     NotASquare,
     QuadNum,
+    _ZERO,
     _quad,
     find_field_roots,
     poly_eval,
@@ -245,9 +246,11 @@ def point_add(p, q):
 
 def scalar_mul(p, k):
     """k * p by double-and-add from the lowest set bit of k, with no
-    doubling after the top bit."""
+    doubling after the top bit.  k must be an int, not a bool."""
+    if type(k) is not int:
+        raise TypeError("k must be an int, got %r" % (k,))
     if k < 0:
-        return scalar_mul(-p, -k)
+        p, k = -p, -k
     if k == 0:
         return p.curve.infinity()
     result = None
@@ -261,16 +264,25 @@ def scalar_mul(p, k):
         addend = point_add(addend, addend)
 
 
+def _psi3_parts(curve):
+    """Integer lists P and Q, low degree first, with
+    (3x^4 + 6Ax^2 + 12Bx - A^2) mA^2 mB = P + Q sqrt(d), for
+    A = alpha/mA and B = beta/mB the curve's _coeff_ints."""
+    a0, a1, ma, b0, b1, mb = curve._coeff_ints
+    s0, s1 = _pair_mul(a0, a1, a0, a1, curve.d)
+    ma2 = ma * ma
+    return ([-s0 * mb, 12 * b0 * ma2, 6 * a0 * ma * mb, 0, 3 * ma2 * mb],
+            [-s1 * mb, 12 * b1 * ma2, 6 * a1 * ma * mb, 0, 0])
+
+
 def division_poly_3(curve):
-    """Coefficients (low first) of 3x^4 + 6Ax^2 + 12Bx - A^2."""
-    zero = QuadNum.of(0, curve.d)
-    return [
-        -(curve.A * curve.A),
-        12 * curve.B,
-        6 * curve.A,
-        zero,
-        QuadNum.of(3, curve.d),
-    ]
+    """Coefficients (low first) of 3x^4 + 6Ax^2 + 12Bx - A^2, read off
+    _psi3_parts with no field operation."""
+    _, _, ma, _, _, mb = curve._coeff_ints
+    m, d = ma * ma * mb, curve.d
+    P, Q = _psi3_parts(curve)
+    return [_quad(Fraction(p, m) if p else _ZERO, Fraction(q, m) if q else _ZERO, d)
+            for p, q in zip(P, Q)]
 
 
 @dataclass(frozen=True)

@@ -138,9 +138,12 @@ def commutator(g, h):
 
 
 def enumerate_group(n, bound=DEFAULT_ENUMERATION_BOUND):
-    """All n^3 elements, ordered lexicographically by (x, y, z)."""
-    if not isinstance(n, int) or n < 1:
-        raise ValueError("modulus must be an integer >= 1")
+    """All n^3 elements, ordered lexicographically by (x, y, z).  n must be
+    an int (not a bool) >= 1."""
+    if type(n) is not int:
+        raise TypeError("n must be an int, got %r" % (n,))
+    if n < 1:
+        raise ValueError("n must be >= 1, got %r" % (n,))
     if n > bound:
         raise EnumerationBoundExceeded(
             "n=%d exceeds the enumeration bound %d" % (n, bound)

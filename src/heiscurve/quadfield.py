@@ -15,12 +15,14 @@ d = -3.
 Also provides root finding for polynomials of degree <= 4 with coefficients
 in the field, by a p-adic rational-root search (Hensel lifting) plus
 explicit quadratic-formula solving; rational quartics without linear
-factors go through the resolvent cubic.  Written as p + q sqrt(d) with p, q
-rational, a polynomial has the rational root r exactly when p(r) = q(r) = 0,
-so candidates come from one part and the multiplicity of each is found in
-integers, by exact division of both cleared parts.  Quartics that do not
-split into factors of degree <= 2 over the field raise
-UnsupportedFactorization.
+factors go through the resolvent cubic.  A polynomial, psi_3 of a curve
+among them, is cleared once to integer lists P + Q sqrt(d), with one lcm
+for all denominators.  It has the rational root r exactly when
+P(r) = Q(r) = 0, so candidates come from one part and the multiplicity of
+each is found in integers, by exact division of both parts.  Only the
+deflation and the quadratic and quartic steps work on the field
+polynomial.  Quartics that do not split into factors of degree <= 2 over
+the field raise UnsupportedFactorization.
 """
 
 from __future__ import annotations
@@ -266,11 +268,11 @@ class QuadNum:
         """
         if self.is_zero():
             return [self]
-        norms = _rational_roots([-self.norm(), 0, 0, 1])
+        norms = _rational_roots(_cleared([-self.norm(), 0, 0, 1]))
         if not norms:
             return []
         m = norms[0]
-        traces = _rational_roots([-2 * self.p, -3 * m, 0, 1])
+        traces = _rational_roots(_cleared([-2 * self.p, -3 * m, 0, 1]))
         if self.p == 0:  # _rational_roots leaves out the root t = 0
             traces.append(_ZERO)
         roots = []
@@ -477,8 +479,9 @@ def _odd_primes():
 
 
 def _rational_roots(coeffs):
-    """The distinct nonzero rational roots of a polynomial with rational
+    """The distinct nonzero rational roots of a polynomial with integer
     coefficients, ordered by |numerator|, then denominator, positive first.
+    A rational polynomial goes through _cleared first.
 
     Roots are found p-adically: take the squarefree part f of the integer
     polynomial, pick the smallest odd prime p not dividing lead(f) at which
@@ -492,7 +495,7 @@ def _rational_roots(coeffs):
     disc(f), so the prime search ends.  Without the squarefree part it
     would not: a repeated rational root is a repeated root mod every p.
     """
-    f = _cleared(coeffs)
+    f = list(coeffs)
     while f and f[-1] == 0:
         f.pop()
     while f and f[0] == 0:
@@ -558,7 +561,7 @@ def _split_rational_quartic(coeffs, d):
             pairs.append((QuadNum.of(0, d), -t))  # y^2 - t
         quadratics = [[c, b, QuadNum.of(1, d)] for b, c in pairs]
     else:
-        zs = _rational_roots([-q * q, p * p - 4 * r, 2 * p, 1])
+        zs = _rational_roots(_cleared([-q * q, p * p - 4 * r, 2 * p, 1]))
         if not zs:
             raise UnsupportedFactorization("resolvent cubic has no rational root")
         z = QuadNum.of(zs[0], d)
@@ -601,14 +604,17 @@ def find_field_roots(coeffs, d=DEFAULT_D):
         roots.append(zero)
         poly = poly[1:]
     if len(poly) >= 4:
-        # written as p + q sqrt(d) with p, q rational, the polynomial has the
-        # rational root r exactly when p(r) = q(r) = 0, and (x - r)^k divides
-        # it exactly when it divides both parts: candidates come from one
-        # part, their multiplicity from both, in integers
-        parts = [_cleared([c.p for c in poly]), _cleared([c.q for c in poly])]
-        for r in _rational_roots(parts[0] if any(parts[0]) else parts[1]):
+        # cleared once, by the lcm of all denominators, the polynomial is a
+        # positive multiple of P + Q sqrt(d) with P, Q integer lists.  It has
+        # the rational root r exactly when P(r) = Q(r) = 0, and (x - r)^k
+        # divides it exactly when it divides both parts: candidates come
+        # from one part, their multiplicity from both, in integers
+        m = lcm(*[c.p.denominator for c in poly], *[c.q.denominator for c in poly])
+        P = [c.p.numerator * (m // c.p.denominator) for c in poly]
+        Q = [c.q.numerator * (m // c.q.denominator) for c in poly]
+        for r in _rational_roots(P if any(P) else Q):
             k = len(poly) - 3
-            for f in parts:
+            for f in (P, Q):
                 k = _multiplicity(f, r, k)
             x = _quad(r, _ZERO, d)
             for _ in range(k):

@@ -87,7 +87,7 @@ class TestGroup:
         code, out, err = run(capsys, "group", "--n", n, "--op", "enumerate")
         assert code == 1
         assert out == ""
-        assert "modulus must be an integer >= 1" in err
+        assert err == "error: n must be >= 1, got %s\n" % n
 
     def test_missing_element_is_usage_error(self, capsys):
         code, _, err = run(capsys, "group", "--n", "3", "--op", "order")
@@ -406,6 +406,38 @@ def test_every_library_exception_has_an_exit_code():
     for exc in defined:
         assert exc in cli._MATH_ERRORS or issubclass(exc, ValueError), exc
     assert set(cli._MATH_ERRORS) <= defined
+
+
+class TestJsonErrors:
+    """Under --format json a failure is one JSON line on stdout, with the
+    exit code of text mode."""
+
+    @pytest.mark.parametrize("argv, code, error, message", [
+        (("audit", "--n-max", "2"), 1, "ValueError",
+         "n_max must be at least 3, the smallest n with a recorded claim; got 2"),
+        (("audit", "--n-max", "10001"), 1, "CliError",
+         "--n-max must be at most 10000, got 10001"),
+        (("torsion", "--A", "1", "--B", "1", "--d", "-1000003"), 2,
+         "UnsupportedFactorization", "resolvent cubic has no rational root"),
+        (("c3", "--d", "-1"), 2, "NoUniqueJZeroCodomain",
+         "over Q(sqrt(-1)) the isogeny table has 0 rows with j = 0, "
+         "expected exactly one"),
+    ])
+    def test_error_payload(self, capsys, argv, code, error, message):
+        got, out, err = run(capsys, *argv, "--format", "json")
+        assert got == code
+        assert err == ""
+        assert out == json.dumps({"error": error, "message": message}) + "\n"
+        # text mode keeps its stderr line and exit code
+        got, out, err = run(capsys, *argv)
+        assert got == code and out == ""
+        prefix = "math error" if code == cli.MATH_ERROR else "error"
+        assert err == "%s: %s\n" % (prefix, message)
+
+    def test_usage_errors_of_the_parser_stay_text(self, capsys):
+        code, out, err = run(capsys, "audit", "--bogus", "--format", "json")
+        assert code == 1 and out == ""
+        assert err == "error: unrecognized arguments: --bogus\n"
 
 
 class TestParsing:

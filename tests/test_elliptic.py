@@ -16,6 +16,7 @@ from heiscurve.elliptic import (
     Point,
     PointNotOnCurve,
     SingularCurve,
+    ThreeTorsion,
     ZeroHessian,
     aut0_order,
     classify_pair,
@@ -697,7 +698,108 @@ class TestHessian:
         assert all(type(c) is Fraction for _, c in cubic.coeffs)
 
 
+def oracle_division_poly_3(curve):
+    """The earlier division_poly_3, built by field multiplication."""
+    A, B, d = curve.A, curve.B, curve.d
+    return [-(A * A), 12 * B, 6 * A, QuadNum.of(0, d), QuadNum.of(3, d)]
+
+
+def oracle_three_torsion(curve):
+    """The earlier three_torsion: find_field_roots on the field polynomial
+    oracle_division_poly_3, then y = sqrt(x^3 + Ax + B) at each root."""
+    roots, missing_x = find_field_roots(oracle_division_poly_3(curve), curve.d)
+    points, kept_roots, missing_y = [], [], 0
+    for x in roots:
+        try:
+            y = curve.rhs(x).sqrt()
+        except NotASquare:
+            missing_y += 1
+            continue
+        kept_roots.append(x)
+        points.append(Point(curve, x, y))
+        if not y.is_zero():
+            points.append(Point(curve, x, -y))
+    return ThreeTorsion(tuple(points), tuple(kept_roots), missing_y, missing_x)
+
+
+def _torsion_outcome(finder, curve):
+    """repr of the result, which fixes values and order, or the type of
+    the error."""
+    try:
+        return repr(finder(curve))
+    except ArithmeticError as exc:
+        return type(exc)
+
+
+PSI3_FIELDS = (-1, -3, -12, -1000003)
+
+
+def wide_elems(d):
+    """Zero, rational, pure sqrt(d) and mixed elements, with numerators up
+    to 10^6 and denominators up to 60."""
+    rationals = st.fractions(max_denominator=60, min_value=Fraction(-10**6),
+                             max_value=Fraction(10**6))
+    return st.one_of(
+        st.just(QuadNum.of(0, d)),
+        st.builds(lambda p: QuadNum(p, 0, d), rationals),
+        st.builds(lambda q: QuadNum(0, q, d), rationals),
+        st.builds(lambda p, q: QuadNum(p, q, d), rationals, rationals))
+
+
+@st.composite
+def psi3_curves(draw):
+    """A nonsingular curve over Q(sqrt d), d in PSI3_FIELDS: generic, with
+    A = 0 or B = 0, or with B chosen so that psi_3 has the root x0."""
+    d = draw(st.sampled_from(PSI3_FIELDS))
+    kind = draw(st.sampled_from(("generic", "A=0", "B=0", "planted")))
+    elems = wide_elems(d)
+    A = QuadNum.of(0, d) if kind == "A=0" else draw(elems)
+    B = QuadNum.of(0, d) if kind == "B=0" else draw(elems)
+    if kind == "planted":
+        x0 = draw(elems)
+        assume(not x0.is_zero())
+        # psi_3(x0) = 0: 12 B x0 = A^2 - 3 x0^4 - 6 A x0^2
+        B = (A * A - 3 * x0**4 - 6 * A * x0 * x0) / (12 * x0)
+    try:
+        return Curve(A, B)
+    except SingularCurve:
+        assume(False)
+
+
+PSI3_EXAMPLES = [
+    BASE,
+    *ROW_CURVES,
+    Curve.of(0, 16),
+    Curve.of(1, Fraction(-2, 3)),
+    Curve(quad(Fraction(1, 2), Fraction(-3, 5)), quad(Fraction(7, 3), Fraction(1, 4))),
+    Curve(QuadNum(Fraction(5, 6), 0, -1000003), QuadNum(0, Fraction(1, 35), -1000003)),
+    Curve(QuadNum(0, 0, -12), QuadNum(Fraction(-9, 4), 1, -12)),
+    Curve(QuadNum(Fraction(-2, 9), Fraction(1, 3), -1), QuadNum(0, 0, -1)),
+]
+
+
 class TestThreeTorsion:
+    @staticmethod
+    def assert_matches_the_oracles(curve):
+        assert repr(division_poly_3(curve)) == repr(oracle_division_poly_3(curve))
+        assert (_torsion_outcome(three_torsion, curve)
+                == _torsion_outcome(oracle_three_torsion, curve))
+
+    @pytest.mark.parametrize("curve", PSI3_EXAMPLES, ids=str)
+    def test_matches_the_oracles_on_examples(self, curve):
+        self.assert_matches_the_oracles(curve)
+
+    @settings(max_examples=300, deadline=None)
+    @given(psi3_curves())
+    def test_matches_the_oracles(self, curve):
+        self.assert_matches_the_oracles(curve)
+
+    def test_division_poly_3_makes_no_field_operation(self, field_ops):
+        for curve in PSI3_EXAMPLES:
+            field_ops.calls.clear()
+            division_poly_3(curve)
+            assert field_ops.calls == []
+
     def test_division_polynomial_roots(self):
         roots, outside = find_field_roots(division_poly_3(BASE))
         z = zeta3()
@@ -818,6 +920,17 @@ class TestGroupLaw:
 
         monkeypatch.setattr(elliptic, "point_add", counting_add)
         return scalar_mul(p, k), counts
+
+    @pytest.mark.parametrize("k, message", [
+        (2.0, "k must be an int, got 2.0"),
+        ("3", "k must be an int, got '3'"),
+        (True, "k must be an int, got True"),
+    ])
+    def test_scalar_mul_rejects_a_non_int(self, k, message):
+        p = BASE.point(quad(12), quad(36))
+        with pytest.raises(TypeError) as info:
+            scalar_mul(p, k)
+        assert str(info.value) == message
 
     def test_scalar_mul_cost(self, monkeypatch):
         p = Curve.of(-2, 5).point(1, 2)

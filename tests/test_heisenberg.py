@@ -228,6 +228,22 @@ class TestEnumerate:
             enumerate_group(17)
         assert len(enumerate_group(17, bound=17)) == 17**3
 
+    @pytest.mark.parametrize("n, message", [
+        (2.0, "n must be an int, got 2.0"),
+        (True, "n must be an int, got True"),
+        ("3", "n must be an int, got '3'"),
+    ])
+    def test_non_int_modulus_rejected(self, n, message):
+        with pytest.raises(TypeError) as info:
+            enumerate_group(n)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("n", (0, -2))
+    def test_modulus_below_one_rejected(self, n):
+        with pytest.raises(ValueError) as info:
+            enumerate_group(n)
+        assert str(info.value) == "n must be >= 1, got %d" % n
+
 
 class TestDihedralStructure:
     def test_mod_2_group_satisfies_dihedral_presentation(self):

@@ -13,6 +13,7 @@ from heiscurve.quadfield import (
     NotASquare,
     QuadNum,
     UnsupportedFactorization,
+    _cleared,
     _rational_roots,
     find_field_roots,
     poly_deflate,
@@ -109,7 +110,7 @@ def oracle_find_field_roots(coeffs, d):
         base = [c.p for c in poly]
         if not any(base):
             base = [c.q for c in poly]
-        for r in _rational_roots(base):
+        for r in _rational_roots(_cleared(base)):
             x = QuadNum.of(r, d)
             while len(poly) >= 4 and poly_eval(poly, x).is_zero():
                 roots.append(x)
@@ -667,15 +668,16 @@ class TestRootFinding:
         roots, outside = find_field_roots(coeffs)
         assert Counter(roots) == Counter([quad(2)] * 3 + [quad(Fraction(-1, 3))])
         assert outside == 0
-        assert _rational_roots([c.p for c in coeffs]) == [Fraction(-1, 3), Fraction(2)]
+        assert _rational_roots(_cleared([c.p for c in coeffs])) == [
+            Fraction(-1, 3), Fraction(2)]
 
     def test_rational_roots_ordered_by_height(self):
         # the resolvent-cubic step uses the first root, so the order is fixed:
         # |numerator|, then denominator, positive before negative
         roots = [Fraction(-3, 2), Fraction(1, 2), Fraction(-1), Fraction(3, 2)]
         coeffs = [c.p for c in _expand(roots)]
-        assert _rational_roots(coeffs) == [Fraction(-1), Fraction(1, 2),
-                                           Fraction(3, 2), Fraction(-3, 2)]
+        assert _rational_roots(_cleared(coeffs)) == [
+            Fraction(-1), Fraction(1, 2), Fraction(3, 2), Fraction(-3, 2)]
 
     def test_no_rational_roots_from_a_root_mod_p(self):
         # x^2 - 7 and x^2 + 2 have simple roots mod 3 whose 3-adic lifts are
@@ -722,6 +724,46 @@ class TestRootFinding:
         if expected != "UnsupportedFactorization":
             roots = expected[0]
             assert all(poly_eval(coeffs, r).is_zero() for r in roots)
+
+    @staticmethod
+    def _parts_poly(common, p_cofactor, q_cofactor, d):
+        """common * p_cofactor + (common * q_cofactor) sqrt(d), for lists of
+        Fractions, low degree first."""
+        def times(a, b):
+            return [c.p for c in _mul([quad(c) for c in a], [quad(c) for c in b])]
+        p_part, q_part = times(common, p_cofactor), times(common, q_cofactor)
+        n = max(len(p_part), len(q_part))
+        p_part += [Fraction(0)] * (n - len(p_part))
+        q_part += [Fraction(0)] * (n - len(q_part))
+        return [QuadNum(p, q, d) for p, q in zip(p_part, q_part)]
+
+    def test_parts_with_different_denominators(self):
+        # (x - 1/2)(x + 3) times x^2/3 + 1/2 in the p part and x/5 - 1/7 in
+        # the q part: one lcm clears denominators 2, 3 and 5, 7 together
+        common = [c.p for c in _expand([Fraction(1, 2), Fraction(-3)])]
+        coeffs = self._parts_poly(
+            common, [Fraction(1, 2), Fraction(0), Fraction(1, 3)],
+            [Fraction(-1, 7), Fraction(1, 5)], -3)
+        roots, outside = find_field_roots(coeffs)
+        assert (roots, outside) == oracle_find_field_roots(coeffs, -3)
+        assert roots[:2] == [quad(Fraction(1, 2)), quad(-3)]
+        assert len(roots) + outside == 4
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_parts_with_different_denominators_match_the_oracle(self, data):
+        d = data.draw(st.sampled_from((-1, -3, -12, -1000003)))
+        planted = data.draw(st.lists(rationals, min_size=1, max_size=3))
+        common = [c.p for c in _expand(planted)]
+
+        def cofactor(dens):
+            return data.draw(st.lists(
+                st.builds(Fraction, st.integers(-30, 30), st.sampled_from(dens)),
+                min_size=1, max_size=5 - len(planted)))
+        coeffs = self._parts_poly(common, cofactor((1, 2, 3, 4, 9)),
+                                  cofactor((5, 7, 11, 25)), d)
+        assert (_outcome(find_field_roots, coeffs, d)
+                == _outcome(oracle_find_field_roots, coeffs, d))
 
     def test_multiplicity_from_both_parts(self):
         # sqrt(-3) (x - 2)^3 (x - 1) + (x - 2) (x - 1)^2 (x + 5): 2 is a root of
@@ -772,7 +814,7 @@ class TestRootFinding:
                 a, b = factor.all_coeffs()
                 root = -b / a
                 expected[Fraction(int(root.p), int(root.q))] += multiplicity
-        assert _rational_roots(coeffs) == sorted(
+        assert _rational_roots(_cleared(coeffs)) == sorted(
             (r for r in expected if r != 0),
             key=lambda r: (abs(r.numerator), r.denominator, r < 0))
         try:

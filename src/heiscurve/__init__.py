@@ -59,7 +59,6 @@ from .words import (
     in_abelianized_kernel,
     in_heisenberg_kernel,
     lifts_to_heisenberg_cover,
-    nielsen_commutator_check,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -4,9 +4,11 @@ Every computation is exact: all numeric output is integers or fractions
 rendered as num/den, never floating point.  Exit codes: 0 success, 1 usage
 error, 2 mathematical error (singular curve, non-integer genus, unsupported
 factorization), 3 when `audit` finds any inconsistent signature claim (so a
-CI run can pin the known discrepancies via an expected-verdicts file), and
+CI run can pin the known discrepancies via an expected-verdicts file),
 141, as for a process killed by SIGPIPE, when the reader of stdout closes
-it early.
+it early, and 130, as for a process killed by SIGINT, when it is
+interrupted (Ctrl-C).  `group --op enumerate` and `audit` write their
+output as it is produced, so their memory does not grow with it.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import os
 import re
 import sys
 from fractions import Fraction
+from itertools import islice
 
 from . import covers, elliptic, heisenberg, quadfield, words
 
@@ -24,9 +27,8 @@ USAGE_ERROR = 1
 MATH_ERROR = 2
 AUDIT_INCONSISTENT = 3
 BROKEN_PIPE = 141  # 128 + SIGPIPE, the status of a process killed by it
-# audit builds all of its ~4n verdicts before printing; the cap keeps it
-# near a second
-AUDIT_N_MAX = 10_000
+INTERRUPTED = 130  # 128 + SIGINT
+_BATCH = 64  # elements per write of a streamed JSON list
 
 
 class CliError(Exception):
@@ -95,6 +97,34 @@ def _emit(fmt, payload, text):
         print(text())
 
 
+def _stream(fmt, items, line, element, head=None):
+    """Write items as they are produced: line(item) per line as text, or
+    as JSON the list of element(item), bare or as the "elements" entry of
+    the dict head.  The JSON bytes equal those of _emit on the whole list.
+    Nothing is written before the first item arrives, so an error raised
+    by producing it is reported on a clean stdout."""
+    write = sys.stdout.write
+    if fmt != "json":
+        for item in items:
+            write(line(item) + "\n")
+        return
+    document = json.dumps([] if head is None else dict(head, elements=[]),
+                          sort_keys=True)
+    before, after = document.split("[]")
+    encode = json.JSONEncoder(sort_keys=True).encode
+    # A list encodes as "[" + ", ".join(encoded elements) + "]", so a batch
+    # without its brackets is a run of the elements.  Batches spread the
+    # encoder's per-call cost over _BATCH elements.
+    items = iter(items)
+    sep = before + "["
+    for batch in iter(lambda: list(islice(items, _BATCH)), []):
+        write(sep + encode([element(item) for item in batch])[1:-1])
+        sep = ", "
+    if sep != ", ":  # no items, so the opening is still unwritten
+        write(sep)
+    write("]" + after + "\n")
+
+
 def _add_common(parser):
     parser.add_argument("--format", choices=("text", "json"), default="text")
 
@@ -110,7 +140,6 @@ def build_parser():
     p.add_argument("--element", help="x,y,z")
     p.add_argument("--other", help="x,y,z (for mul)")
     p.add_argument("--exp", type=int, help="exponent (for pow)")
-    p.add_argument("--bound", type=int, default=None)
     _add_common(p)
 
     p = sub.add_parser("word", help="free-group word evaluation and lifting")
@@ -133,8 +162,7 @@ def build_parser():
     _add_common(p)
 
     p = sub.add_parser("audit", help="audit every recorded signature claim")
-    p.add_argument("--n-max", type=int, default=12,
-                   help="largest n audited, at most %d" % AUDIT_N_MAX)
+    p.add_argument("--n-max", type=int, default=12, help="largest n audited")
     _add_common(p)
 
     p = sub.add_parser("c3", help="full degree-3 isogeny derivation")
@@ -164,28 +192,11 @@ def build_parser():
     return parser
 
 
-def _enumeration_bound(args):
-    """--bound, else the HEISCURVE_BOUND environment variable, else the
-    library default."""
-    if args.bound is not None:
-        return args.bound
-    env = os.environ.get("HEISCURVE_BOUND")
-    if env is None:
-        return heisenberg.DEFAULT_ENUMERATION_BOUND
-    try:
-        return int(env)
-    except ValueError:
-        raise CliError("HEISCURVE_BOUND must be an integer, got %r" % (env,))
-
-
 def _run_group(args):
     n, fmt = args.n, args.format
     if args.op == "enumerate":
-        elements = heisenberg.enumerate_group(n, _enumeration_bound(args))
-        _emit(fmt,
-              lambda: {"n": n, "count": len(elements),
-                       "elements": [[g.x, g.y, g.z] for g in elements]},
-              lambda: "\n".join(str(g) for g in elements))
+        _stream(fmt, heisenberg.enumerate_group(n), str,
+                lambda g: [g.x, g.y, g.z], head={"n": n, "count": n**3})
         return 0
     if not args.element:
         raise CliError("--element is required for op %r" % args.op)
@@ -291,13 +302,16 @@ def _audit_line(v):
 
 
 def _run_audit(args):
-    if args.n_max > AUDIT_N_MAX:
-        raise CliError("--n-max must be at most %d, got %d"
-                       % (AUDIT_N_MAX, args.n_max))
-    verdicts = covers.audit_signature_claims(args.n_max)
-    _emit(args.format, lambda: [v.to_json_dict() for v in verdicts],
-          lambda: "\n".join(_audit_line(v) for v in verdicts))
-    return AUDIT_INCONSISTENT if any(not v.consistent for v in verdicts) else 0
+    consistent = True
+
+    def verdicts():
+        nonlocal consistent
+        for v in covers._signature_verdicts(args.n_max):
+            consistent = consistent and v.consistent
+            yield v
+
+    _stream(args.format, verdicts(), _audit_line, covers.Verdict.to_json_dict)
+    return 0 if consistent else AUDIT_INCONSISTENT
 
 
 def _run_c3(args):
@@ -374,7 +388,6 @@ _MATH_ERRORS = (
     elliptic.ZeroHessian,
     quadfield.NotASquare,
     quadfield.UnsupportedFactorization,
-    heisenberg.EnumerationBoundExceeded,
     heisenberg.ModulusMismatch,
 )
 
@@ -413,6 +426,8 @@ def entry():
         # /dev/null so the interpreter's final flush does not fail again.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         code = BROKEN_PIPE
+    except KeyboardInterrupt:
+        code = INTERRUPTED
     sys.exit(code)
 
 

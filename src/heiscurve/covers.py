@@ -54,14 +54,14 @@ class RamificationData:
 
 def ramification_defect(indices):
     """-2 + sum(1 - 1/e) over the indices; -2 for the empty list."""
-    return Fraction(-2) + sum(Fraction(e - 1, e) for e in indices)
+    return sum((Fraction(e - 1, e) for e in indices), Fraction(-2))
 
 
 def rh_genus(data):
-    """Genus of the cover: 2g - 2 = |G| * (2*g_base - 2 + sum(1 - 1/e_i))."""
+    """Genus of the cover: 2g - 2 = |G| * (2*g_base + ramification_defect),
+    which is |G| * (2*g_base - 2 + sum(1 - 1/e_i))."""
     doubled = data.group_order * (
-        Fraction(2 * data.base_genus - 2) + sum(Fraction(e - 1, e) for e in data.indices)
-    )
+        2 * data.base_genus + ramification_defect(data.indices))
     g = (doubled + 2) / 2
     if g.denominator != 1 or g < 0:
         raise NonIntegerGenus(
@@ -275,6 +275,39 @@ def signature_consistency(n, signature, order, target, claim=""):
     )
 
 
+def _signature_verdicts(n_max):
+    """Yield the verdicts of audit_signature_claims(n_max) one at a time,
+    in the same order.  n_max is checked before the first verdict."""
+    if type(n_max) is not int:
+        raise TypeError("n_max must be an int, got %r" % (n_max,))
+    if n_max < 3:
+        raise ValueError("n_max must be at least 3, the smallest n with a "
+                         "recorded claim; got %r" % (n_max,))
+    for n in range(4, n_max + 1):
+        yield signature_consistency(
+            n, (2, 3, 2 * n), 6 * n * n, "fermat",
+            "Fermat quotient signature (2,3,2n), n=%d" % n)
+    for n in range(3, n_max + 1, 2):
+        yield signature_consistency(
+            n, (n, n, n), n**3, "heisenberg",
+            "Heisenberg tower signature (n,n,n), odd n=%d" % n)
+    for n in range(4, n_max + 1, 2):
+        yield signature_consistency(
+            n, (4 * n, n, 2), 2 * n**3, "heisenberg",
+            "Heisenberg quotient signature (4n,n,2), even n=%d" % n)
+    for n in range(4, n_max + 1):
+        yield signature_consistency(
+            n, (2 * n, 3, 3), 6 * n * n, "fermat",
+            "claimed Fermat quotient signature (2n,3,3), n=%d" % n)
+    for n in range(5, n_max + 1, 2):
+        yield signature_consistency(
+            n, (2, 3, 2 * n), 6 * n**3, "heisenberg",
+            "Heisenberg normalizer order 6n^3 with (2,3,2n), odd n=%d" % n)
+        yield signature_consistency(
+            n, (2, n, 2 * n), 6 * n**3, "heisenberg",
+            "claimed normalizer signature (2,n,2n), odd n=%d" % n)
+
+
 def audit_signature_claims(n_max=12):
     """Audit every quotient-signature claim used by the genus bookkeeping.
 
@@ -286,48 +319,7 @@ def audit_signature_claims(n_max=12):
     verdicts, not adjudicated.  The first claim is at n = 3, so n_max < 3
     raises ValueError.
     """
-    if type(n_max) is not int:
-        raise TypeError("n_max must be an int, got %r" % (n_max,))
-    if n_max < 3:
-        raise ValueError("n_max must be at least 3, the smallest n with a "
-                         "recorded claim; got %r" % (n_max,))
-    verdicts = []
-    for n in range(4, n_max + 1):
-        verdicts.append(
-            signature_consistency(
-                n, (2, 3, 2 * n), 6 * n * n, "fermat",
-                "Fermat quotient signature (2,3,2n), n=%d" % n)
-        )
-    for n in range(3, n_max + 1, 2):
-        verdicts.append(
-            signature_consistency(
-                n, (n, n, n), n**3, "heisenberg",
-                "Heisenberg tower signature (n,n,n), odd n=%d" % n)
-        )
-    for n in range(4, n_max + 1, 2):
-        verdicts.append(
-            signature_consistency(
-                n, (4 * n, n, 2), 2 * n**3, "heisenberg",
-                "Heisenberg quotient signature (4n,n,2), even n=%d" % n)
-        )
-    for n in range(4, n_max + 1):
-        verdicts.append(
-            signature_consistency(
-                n, (2 * n, 3, 3), 6 * n * n, "fermat",
-                "claimed Fermat quotient signature (2n,3,3), n=%d" % n)
-        )
-    for n in range(5, n_max + 1, 2):
-        verdicts.append(
-            signature_consistency(
-                n, (2, 3, 2 * n), 6 * n**3, "heisenberg",
-                "Heisenberg normalizer order 6n^3 with (2,3,2n), odd n=%d" % n)
-        )
-        verdicts.append(
-            signature_consistency(
-                n, (2, n, 2 * n), 6 * n**3, "heisenberg",
-                "claimed normalizer signature (2,n,2n), odd n=%d" % n)
-        )
-    return verdicts
+    return list(_signature_verdicts(n_max))
 
 
 # ---------------------------------------------------------------------------

@@ -19,18 +19,11 @@ modular division by 2 is ever needed (2 may not be invertible mod n).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 from math import gcd
-
-DEFAULT_ENUMERATION_BOUND = 16
 
 
 class ModulusMismatch(ValueError):
     """Combining elements that live over different moduli."""
-
-
-class EnumerationBoundExceeded(ValueError):
-    """Asked to enumerate a group larger than the configured cap."""
 
 
 @dataclass(frozen=True)
@@ -49,7 +42,7 @@ class HeisenbergElement:
                     raise TypeError("HeisenbergElement %s must be an int, "
                                     "got %r" % (name, v))
         if n < 1:
-            raise ValueError("modulus must be an integer >= 1")
+            raise ValueError("n must be >= 1, got %r" % (n,))
         object.__setattr__(self, "x", x % n)
         object.__setattr__(self, "y", y % n)
         object.__setattr__(self, "z", z % n)
@@ -137,15 +130,15 @@ def commutator(g, h):
     return g * h * g.inverse() * h.inverse()
 
 
-def enumerate_group(n, bound=DEFAULT_ENUMERATION_BOUND):
-    """All n^3 elements, ordered lexicographically by (x, y, z).  n must be
-    an int (not a bool) >= 1."""
+def enumerate_group(n):
+    """An iterator over all n^3 elements, ordered lexicographically by
+    (x, y, z); elements are built as they are read.  n must be an int (not
+    a bool) >= 1, checked when called."""
     if type(n) is not int:
         raise TypeError("n must be an int, got %r" % (n,))
     if n < 1:
         raise ValueError("n must be >= 1, got %r" % (n,))
-    if n > bound:
-        raise EnumerationBoundExceeded(
-            "n=%d exceeds the enumeration bound %d" % (n, bound)
-        )
-    return [HeisenbergElement(n, x, y, z) for x, y, z in product(range(n), repeat=3)]
+    # nested ranges, not itertools.product, which would first copy range(n)
+    # into a tuple of n ints
+    return (HeisenbergElement(n, x, y, z)
+            for x in range(n) for y in range(n) for z in range(n))

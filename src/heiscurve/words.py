@@ -188,7 +188,7 @@ def eval_in_abelianization(word, n):
     if type(n) is not int:
         raise TypeError("modulus n must be an int, got %r" % (n,))
     if n < 1:
-        raise ValueError("modulus must be an integer >= 1")
+        raise ValueError("n must be >= 1, got %r" % (n,))
     ea = sum(e for g, e in word.syllables if g == "a")
     eb = sum(e for g, e in word.syllables if g == "b")
     return (ea % n, eb % n)
@@ -313,8 +313,3 @@ def commutator_conjugacy_witness(endo):
                 if conj * base * conj.inverse() == image:
                     return conj, sign
     return None
-
-
-def nielsen_commutator_check(endo):
-    """True iff endo([a,b]) is a conjugate of [a,b] or of its inverse."""
-    return commutator_conjugacy_witness(endo) is not None

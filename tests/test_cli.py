@@ -1,11 +1,14 @@
 import hashlib
+import io
 import itertools
 import json
 import os
 import re
 import shlex
+import signal
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -51,36 +54,10 @@ class TestGroup:
         assert code == 0
         assert payload["count"] == 27
 
-    def test_enumerate_bound_exceeded(self, capsys):
-        code, _, err = run(capsys, "group", "--n", "17", "--op", "enumerate")
-        assert code == 2
-        assert "math error" in err
-
-    def test_bound_flag(self, capsys):
-        code, payload = run_json(
-            capsys, "group", "--n", "17", "--op", "enumerate", "--bound", "17")
-        assert code == 0
-        assert payload["count"] == 17**3
-
-    def test_bound_env_override(self, capsys, monkeypatch):
-        monkeypatch.setenv("HEISCURVE_BOUND", "17")
-        code, payload = run_json(capsys, "group", "--n", "17", "--op", "enumerate")
-        assert code == 0
-        assert payload["count"] == 17**3
-
-    def test_bound_flag_beats_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("HEISCURVE_BOUND", "3")
-        code, payload = run_json(
-            capsys, "group", "--n", "4", "--op", "enumerate", "--bound", "100")
-        assert code == 0
-        assert payload["count"] == 64
-
-    def test_bound_env_not_an_integer_is_usage_error(self, capsys, monkeypatch):
-        monkeypatch.setenv("HEISCURVE_BOUND", "abc")
-        code, out, err = run(capsys, "group", "--n", "3", "--op", "enumerate")
-        assert code == 1
-        assert out == ""
-        assert "HEISCURVE_BOUND" in err and "Traceback" not in err
+    def test_enumerate_has_no_cap(self, capsys):
+        code, out, err = run(capsys, "group", "--n", "17", "--op", "enumerate")
+        assert (code, err) == (0, "")
+        assert len(out.splitlines()) == 17**3
 
     @pytest.mark.parametrize("n", ("0", "-2"))
     def test_enumerate_bad_modulus_is_usage_error(self, capsys, n):
@@ -176,7 +153,7 @@ class TestWord:
         code, out, err = run(capsys, "word", "--n", "0", "--eval", "ab")
         assert code == 1
         assert out == ""
-        assert "modulus must be an integer >= 1" in err
+        assert err == "error: n must be >= 1, got 0\n"
 
     def test_eval_output_pinned(self, capsys):
         code, out, _ = run(capsys, "word", "--n", "5", "--eval", "abAB")
@@ -241,22 +218,6 @@ class TestAudit:
         assert code == 1
         assert out == ""
         assert "n_max" in err and n_max in err
-
-    @pytest.mark.parametrize("n_max", [str(cli.AUDIT_N_MAX + 1), str(10**12)])
-    def test_n_max_above_the_cap_is_usage_error(self, capsys, n_max):
-        # regression: 10^8 was still building verdicts after 5 minutes
-        code, out, err = run(capsys, "audit", "--n-max", n_max)
-        assert code == 1
-        assert out == ""
-        assert "--n-max" in err and str(cli.AUDIT_N_MAX) in err and n_max in err
-
-    def test_n_max_at_the_cap_is_audited(self, capsys, monkeypatch):
-        seen = []
-        monkeypatch.setattr(covers, "audit_signature_claims",
-                            lambda n_max: seen.append(n_max) or [])
-        code, out, err = run(capsys, "audit", "--n-max", str(cli.AUDIT_N_MAX))
-        assert (code, err) == (0, "")
-        assert seen == [cli.AUDIT_N_MAX]
 
     def test_small_n_max_all_consistent_rows_present(self, capsys):
         code, payload = run_json(capsys, "audit", "--n-max", "4")
@@ -415,8 +376,8 @@ class TestJsonErrors:
     @pytest.mark.parametrize("argv, code, error, message", [
         (("audit", "--n-max", "2"), 1, "ValueError",
          "n_max must be at least 3, the smallest n with a recorded claim; got 2"),
-        (("audit", "--n-max", "10001"), 1, "CliError",
-         "--n-max must be at most 10000, got 10001"),
+        (("group", "--n", "0", "--op", "enumerate"), 1, "ValueError",
+         "n must be >= 1, got 0"),
         (("torsion", "--A", "1", "--B", "1", "--d", "-1000003"), 2,
          "UnsupportedFactorization", "resolvent cubic has no rational root"),
         (("c3", "--d", "-1"), 2, "NoUniqueJZeroCodomain",
@@ -490,20 +451,105 @@ def test_readme_cli_example(capsys, argv, promised):
         assert promised in [ln.strip() for ln in out.splitlines()]
 
 
+class _Sink(io.TextIOBase):
+    def write(self, text):
+        return len(text)
+
+
+class TestStream:
+    """`group --op enumerate` and `audit` write their output as it is
+    produced, with the bytes of printing the whole list at once."""
+
+    @pytest.mark.parametrize("argv", [
+        ("group", "--n", "48", "--op", "enumerate", "--format", "json"),
+        ("audit", "--n-max", "4000", "--format", "json"),
+    ])
+    def test_memory_does_not_grow_with_the_output(self, monkeypatch, argv):
+        # the outputs are about 1.5 MB and 3 MB, so holding either one
+        # would pass the limit
+        monkeypatch.setattr(sys, "stdout", _Sink())
+        tracemalloc.start()
+        try:
+            main(list(argv))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+
+    # n = 5 (125 elements) and n_max = 40 (148 verdicts) span several
+    # JSON write batches
+    @pytest.mark.parametrize("n", (1, 2, 3, 5))
+    def test_enumerate_equals_the_whole_list(self, capsys, n):
+        elements = list(heisenberg.enumerate_group(n))
+        argv = ("group", "--n", str(n), "--op", "enumerate")
+        assert run(capsys, *argv) == (
+            0, "\n".join(str(g) for g in elements) + "\n", "")
+        payload = {"n": n, "count": len(elements),
+                   "elements": [[g.x, g.y, g.z] for g in elements]}
+        assert run(capsys, *argv, "--format", "json") == (
+            0, json.dumps(payload, sort_keys=True) + "\n", "")
+
+    @pytest.mark.parametrize("n_max", (3, 4, 12, 40))
+    def test_audit_equals_the_whole_list(self, capsys, n_max):
+        verdicts = covers.audit_signature_claims(n_max)
+        code = 0 if all(v.consistent for v in verdicts) else 3
+        argv = ("audit", "--n-max", str(n_max))
+        assert run(capsys, *argv) == (
+            code, "\n".join(cli._audit_line(v) for v in verdicts) + "\n", "")
+        payload = [v.to_json_dict() for v in verdicts]
+        assert run(capsys, *argv, "--format", "json") == (
+            code, json.dumps(payload, sort_keys=True) + "\n", "")
+
+    @pytest.mark.parametrize("head", (None, {"n": 0, "count": 0}))
+    def test_empty_json_list(self, capsys, head):
+        cli._stream("json", iter(()), str, list, head)
+        document = [] if head is None else dict(head, elements=[])
+        assert capsys.readouterr().out == json.dumps(document, sort_keys=True) + "\n"
+
+
+def _spawn(*argv, **kwargs):
+    """Run `python -m heiscurve.cli argv` on this tree's source, with piped
+    stdout and stderr."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, (src, env.get("PYTHONPATH"))))
+    return subprocess.Popen(
+        [sys.executable, "-m", "heiscurve.cli", *argv],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env, **kwargs)
+
+
 class TestEntry:
     def test_reader_closing_pipe_early(self):
-        src = str(Path(__file__).resolve().parent.parent / "src")
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            filter(None, (src, env.get("PYTHONPATH"))))
         # 20^3 lines, about 150 kB: more than a pipe buffer holds
-        proc = subprocess.Popen(
-            [sys.executable, "-m", "heiscurve.cli", "group", "--n", "20",
-             "--op", "enumerate", "--bound", "20"],
-            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        proc = _spawn("group", "--n", "20", "--op", "enumerate")
         assert proc.stdout.readline() == b"(0, 0, 0) mod 20\n"
         proc.stdout.close()
         err = proc.stderr.read()
         proc.stderr.close()
         assert proc.wait(timeout=60) == 141
         assert err == b""
+
+    def test_reader_closing_pipe_early_on_a_long_audit(self):
+        # about 80 000 verdicts; the first line comes before the second claim
+        # family is audited
+        proc = _spawn("audit", "--n-max", "20000")
+        assert proc.stdout.readline().startswith(b"consistent")
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 141
+        assert err == b""
+
+    def test_interrupt_exits_130_without_a_traceback(self):
+        # A child of a shell's background job inherits an ignored SIGINT,
+        # and Python then installs no KeyboardInterrupt handler; restore the
+        # default so the child behaves as under Ctrl-C.
+        proc = _spawn("audit", "--n-max", "20000",
+                      preexec_fn=lambda: signal.signal(signal.SIGINT,
+                                                       signal.SIG_DFL))
+        assert proc.stdout.readline().startswith(b"consistent")
+        proc.send_signal(signal.SIGINT)
+        _, err = proc.communicate(timeout=60)
+        assert proc.returncode == 130
+        assert b"Traceback" not in err

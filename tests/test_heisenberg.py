@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 from itertools import product
 
@@ -5,7 +6,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from heiscurve.heisenberg import (
-    EnumerationBoundExceeded,
     HeisenbergElement,
     ModulusMismatch,
     commutator,
@@ -100,9 +100,15 @@ class TestMul:
         with pytest.raises(TypeError, match="HeisenbergElement " + message):
             HeisenbergElement(*args)
 
+    @pytest.mark.parametrize("n", (0, -2))
+    def test_modulus_below_one_rejected(self, n):
+        with pytest.raises(ValueError) as info:
+            HeisenbergElement(n, 0, 0, 0)
+        assert str(info.value) == "n must be >= 1, got %d" % n
+
     def test_associative_exhaustive_small(self):
         for n in (2, 3):
-            group = enumerate_group(n)
+            group = list(enumerate_group(n))
             for g, h, k in product(group, repeat=3):
                 assert (g * h) * k == g * (h * k)
 
@@ -202,7 +208,7 @@ class TestAbelianize:
         assert HeisenbergElement.central(5, 3).abelianize() == (0, 0)
 
     def test_homomorphism_exhaustive_mod_3(self):
-        group = enumerate_group(3)
+        group = list(enumerate_group(3))
         for g in group:
             for h in group:
                 gx, gy = g.abelianize()
@@ -219,14 +225,22 @@ class TestAbelianize:
 class TestEnumerate:
     @pytest.mark.parametrize("n,count", [(1, 1), (2, 8), (3, 27)])
     def test_counts(self, n, count):
-        group = enumerate_group(n)
+        group = list(enumerate_group(n))
         assert len(group) == count
         assert len(set(group)) == count
 
-    def test_bound_enforced(self):
-        with pytest.raises(EnumerationBoundExceeded):
-            enumerate_group(17)
-        assert len(enumerate_group(17, bound=17)) == 17**3
+    def test_lazy_in_lexicographic_order(self):
+        # 10^18 elements; a copy of range(n) alone would take about 36 MB
+        n = 10**6
+        tracemalloc.start()
+        try:
+            elements = enumerate_group(n)
+            first = [next(elements) for _ in range(3)]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert first == [HeisenbergElement(n, 0, 0, z) for z in range(3)]
+        assert peak < 100_000
 
     @pytest.mark.parametrize("n, message", [
         (2.0, "n must be an int, got 2.0"),

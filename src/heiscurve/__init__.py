@@ -8,6 +8,7 @@ Subpackages:
 * covers     -- Riemann-Hurwitz genus bookkeeping, signatures, audits
 * quadfield  -- exact arithmetic in imaginary quadratic fields
 * elliptic   -- curves over Q(sqrt d): 3-torsion, 3-isogenies, j-invariants
+* errors     -- HeiscurveError, the base of every mathematical error
 * cli        -- the `heiscurve` command-line tool
 """
 
@@ -47,6 +48,7 @@ from .elliptic import (
     velu3,
     velu3_map,
 )
+from .errors import HeiscurveError
 from .heisenberg import HeisenbergElement, commutator, enumerate_group
 from .quadfield import FieldMismatch, QuadNum, find_field_roots, zeta3
 from .words import (

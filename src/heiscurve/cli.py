@@ -2,9 +2,11 @@
 
 Every computation is exact: all numeric output is integers or fractions
 rendered as num/den, never floating point.  Exit codes: 0 success, 1 usage
-error, 2 mathematical error (singular curve, non-integer genus, unsupported
-factorization), 3 when `audit` finds any inconsistent signature claim (so a
-CI run can pin the known discrepancies via an expected-verdicts file),
+error, 2 mathematical error (any HeiscurveError: NonIntegerGenus,
+SingularCurve, PointNotOnCurve, BadKernelPoint, NoUniqueJZeroCodomain,
+ZeroHessian, NotASquare, UnsupportedFactorization, ModulusMismatch), 3
+when `audit` finds any inconsistent signature claim (so a CI run can pin
+the known discrepancies via an expected-verdicts file),
 141, as for a process killed by SIGPIPE, when the reader of stdout closes
 it early, and 130, as for a process killed by SIGINT, when it is
 interrupted (Ctrl-C).  `group --op enumerate` and `audit` write their
@@ -22,6 +24,7 @@ from fractions import Fraction
 from itertools import islice
 
 from . import covers, elliptic, heisenberg, quadfield, words
+from .errors import HeiscurveError
 
 USAGE_ERROR = 1
 MATH_ERROR = 2
@@ -379,17 +382,8 @@ _DISPATCH = {
     "j": _run_j,
 }
 
-_MATH_ERRORS = (
-    covers.NonIntegerGenus,
-    elliptic.SingularCurve,
-    elliptic.PointNotOnCurve,
-    elliptic.BadKernelPoint,
-    elliptic.NoUniqueJZeroCodomain,
-    elliptic.ZeroHessian,
-    quadfield.NotASquare,
-    quadfield.UnsupportedFactorization,
-    heisenberg.ModulusMismatch,
-)
+# read by the benchmark's worker, which counts these errors as failed jobs
+_MATH_ERRORS = (HeiscurveError,)
 
 
 def _report(args, exc, prefix, code):
@@ -411,7 +405,7 @@ def main(argv=None):
         return _DISPATCH[args.command](args)
     except CliError as exc:
         return _report(args, exc, "error", exc.code)
-    except _MATH_ERRORS as exc:
+    except HeiscurveError as exc:
         return _report(args, exc, "math error", MATH_ERROR)
     except ValueError as exc:
         return _report(args, exc, "error", USAGE_ERROR)

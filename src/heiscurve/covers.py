@@ -17,8 +17,11 @@ from fractions import Fraction
 from itertools import product
 from math import gcd
 
+from .errors import HeiscurveError, _int_at_least
+from .heisenberg import HeisenbergElement
 
-class NonIntegerGenus(ArithmeticError):
+
+class NonIntegerGenus(ArithmeticError, HeiscurveError):
     """Riemann-Hurwitz data that does not yield a nonnegative integer genus."""
 
 
@@ -32,19 +35,10 @@ class RamificationData:
 
     def __post_init__(self):
         object.__setattr__(self, "indices", tuple(self.indices))
-        if type(self.base_genus) is not int:
-            raise TypeError("base_genus must be an int, got %r" % (self.base_genus,))
-        if type(self.group_order) is not int:
-            raise TypeError("group_order must be an int, got %r" % (self.group_order,))
-        if self.base_genus < 0:
-            raise ValueError("base genus must be >= 0")
-        if self.group_order < 1:
-            raise ValueError("group order must be >= 1")
+        _int_at_least(self.base_genus, 0, "base_genus")
+        _int_at_least(self.group_order, 1, "group_order")
         for e in self.indices:
-            if type(e) is not int:
-                raise TypeError("indices must be ints, got %r" % (e,))
-            if e < 2:
-                raise ValueError("ramification indices must be >= 2")
+            _int_at_least(e, 2, "ramification index")
             if self.group_order % e != 0:
                 raise ValueError(
                     "index %d does not divide the group order %d"
@@ -72,19 +66,13 @@ def rh_genus(data):
 
 def fermat_genus(n):
     """(n-1)(n-2)/2."""
-    if type(n) is not int:
-        raise TypeError("n must be an int, got %r" % (n,))
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    _int_at_least(n, 1)
     return (n - 1) * (n - 2) // 2
 
 
 def heisenberg_genus(n):
     """n^2(n-3)/2 + 1 for odd n; an extra n^2/4 for even n."""
-    if type(n) is not int:
-        raise TypeError("n must be an int, got %r" % (n,))
-    if n < 2:
-        raise ValueError("n must be >= 2")
+    _int_at_least(n, 2)
     doubled = n * n * (n - 3)  # always even: n^2(n-3) has an even factor
     g = doubled // 2 + 1
     if n % 2 == 0:
@@ -120,11 +108,9 @@ class PointClass:
 
     def __post_init__(self):
         if self.family not in FAMILIES:
-            raise ValueError("family must be one of %s" % (FAMILIES,))
-        if type(self.k) is not int:
-            raise TypeError("k must be an int, got %r" % (self.k,))
-        if self.k < 0:
-            raise ValueError("k must be >= 0, got %r" % (self.k,))
+            raise ValueError("family must be one of %s, got %r"
+                             % (FAMILIES, self.family))
+        _int_at_least(self.k, 0, "k")
 
     def exponents(self):
         k = Fraction(self.k)
@@ -136,19 +122,12 @@ class PointClass:
         return (k + Fraction(1, 2), Fraction(0), None)
 
 
-def _check_modulus(n):
-    if type(n) is not int:
-        raise TypeError("n must be an int, got %r" % (n,))
-    if n < 1:
-        raise ValueError("n must be >= 1, got %r" % (n,))
-
-
 def is_fixed_by(point, a, b, n):
     """Whether the shift (a, b) fixes the point.  The stabilizer generator
     (u, v) is primitive, so (a, b) is a multiple of it exactly when the
     determinant a*v - b*u vanishes mod n."""
-    if type(a) is not int or type(b) is not int:
-        raise TypeError("the shift (a, b) must be ints, got %r" % ((a, b),))
+    _int_at_least(a, None, "a")
+    _int_at_least(b, None, "b")
     u, v = stabilizer_generator(point, n)
     return (a * v - b * u) % n == 0
 
@@ -161,13 +140,13 @@ def stabilizer_subgroup(point, n):
 
 def orbit_size(point, n):
     """Size of the orbit under (Z/n)^2: n^2 / |stabilizer| = n."""
-    _check_modulus(n)
+    _int_at_least(n, 1)
     return n
 
 
 def stabilizer_generator(point, n):
     """A generator of the (cyclic, order n) stabilizer of the point."""
-    _check_modulus(n)
+    _int_at_least(n, 1)
     u, v = _STABILIZER_GENERATORS[point.family]
     return (u % n, v % n)
 
@@ -198,16 +177,22 @@ class CoverRamification:
 
 
 def cover_ramification(n):
-    """Odd n: unramified.  Even n: the n cusps over infinity each carry
-    n/2 points, all with ramification index 2."""
-    if type(n) is not int:
-        raise TypeError("n must be an int, got %r" % (n,))
-    if n < 2:
-        raise ValueError("n must be >= 2")
-    if n % 2 == 1:
-        return CoverRamification(n, True, 1, (), 0)
-    cusps = tuple(PointClass("Qprime", k) for k in range(n))
-    return CoverRamification(n, False, 2, cusps, n * n // 2)
+    """Ramification read off the branch generators of H_n over P^1.
+
+    The stabilizer generator (u, v) of a family lifts to the branch
+    generator (u, v, 0) of H_n.  A family whose lift has order above n is
+    ramified over its n cusps with index order/n, and n^3/order points of
+    the cover lie above them.  Only the lift (1, 1, 0) of Q' can exceed
+    order n, and it does exactly for even n: odd n gives an unramified
+    cover, even n index 2 and n/2 points over each cusp at infinity.
+    """
+    _int_at_least(n, 2)
+    for family, (u, v) in _STABILIZER_GENERATORS.items():
+        order = HeisenbergElement(n, u, v, 0).order()
+        if order > n:
+            cusps = tuple(PointClass(family, k) for k in range(n))
+            return CoverRamification(n, False, order // n, cusps, n**3 // order)
+    return CoverRamification(n, True, 1, (), 0)
 
 
 def modular_aut_order(n):
@@ -217,10 +202,7 @@ def modular_aut_order(n):
     full Fermat automorphism group (Z/n)^2 x| S3 for odd n and only
     (Z/n)^2 x| Z/2 for even n.
     """
-    if type(n) is not int:
-        raise TypeError("n must be an int, got %r" % (n,))
-    if n < 3:
-        raise ValueError("n must be >= 3, got %r" % (n,))
+    _int_at_least(n, 3)
     if n % 2 == 1:
         return n * 6 * n * n, "Z/n . ((Z/n)^2 x| S3)"
     return n * 2 * n * n, "Z/n . ((Z/n)^2 x| Z/2)"
@@ -259,7 +241,8 @@ def signature_consistency(n, signature, order, target, claim=""):
     elif target == "heisenberg":
         expected = heisenberg_genus(n)
     else:
-        raise ValueError("target must be 'fermat' or 'heisenberg'")
+        raise ValueError("target must be 'fermat' or 'heisenberg', got %r"
+                         % (target,))
     try:
         computed = rh_genus(RamificationData(0, order, tuple(signature)))
     except (NonIntegerGenus, ValueError):
@@ -278,8 +261,7 @@ def signature_consistency(n, signature, order, target, claim=""):
 def _signature_verdicts(n_max):
     """Yield the verdicts of audit_signature_claims(n_max) one at a time,
     in the same order.  n_max is checked before the first verdict."""
-    if type(n_max) is not int:
-        raise TypeError("n_max must be an int, got %r" % (n_max,))
+    _int_at_least(n_max, None, "n_max")
     if n_max < 3:
         raise ValueError("n_max must be at least 3, the smallest n with a "
                          "recorded claim; got %r" % (n_max,))
@@ -327,8 +309,7 @@ def audit_signature_claims(n_max=12):
 # ---------------------------------------------------------------------------
 
 def _check_bound_n(n):
-    if type(n) is not int:
-        raise TypeError("n must be an int, got %r" % (n,))
+    _int_at_least(n, None)
     if n < 4 or n % 2 != 0:
         raise ValueError("the bound applies to even n >= 4, got %r" % (n,))
 
@@ -481,10 +462,7 @@ class FermatAutGroup:
 
 def build_fermat_aut(n, verify=True):
     """Construct the group; verify=True (the default) checks its axioms."""
-    if type(n) is not int:
-        raise TypeError("n must be an int, got %r" % (n,))
-    if n < 3:
-        raise ValueError("n must be >= 3, got %r" % (n,))
+    _int_at_least(n, 3)
     group = FermatAutGroup(n)
     if verify:
         group.verify_axioms()

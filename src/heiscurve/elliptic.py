@@ -29,6 +29,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import lcm
 
+from .errors import HeiscurveError
 from .quadfield import (
     DEFAULT_D,
     FieldMismatch,
@@ -42,19 +43,19 @@ from .quadfield import (
 )
 
 
-class SingularCurve(ArithmeticError):
+class SingularCurve(ArithmeticError, HeiscurveError):
     """Vanishing discriminant."""
 
 
-class PointNotOnCurve(ValueError):
+class PointNotOnCurve(ValueError, HeiscurveError):
     pass
 
 
-class BadKernelPoint(ValueError):
+class BadKernelPoint(ValueError, HeiscurveError):
     """Isogeny kernel generator is not an affine point of order 3."""
 
 
-class NoUniqueJZeroCodomain(ArithmeticError):
+class NoUniqueJZeroCodomain(ArithmeticError, HeiscurveError):
     """The isogeny table over Q(sqrt d) does not have exactly one j = 0 row."""
 
     def __init__(self, d, j_zero_rows):
@@ -65,7 +66,7 @@ class NoUniqueJZeroCodomain(ArithmeticError):
         self.j_zero_rows = j_zero_rows
 
 
-class ZeroHessian(ArithmeticError):
+class ZeroHessian(ArithmeticError, HeiscurveError):
     """The Hessian of a cubic vanishes identically (the cubic is a cone)."""
 
     def __init__(self, cubic):

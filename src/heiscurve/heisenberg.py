@@ -21,8 +21,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
+from .errors import HeiscurveError, _int_at_least
 
-class ModulusMismatch(ValueError):
+
+class ModulusMismatch(ValueError, HeiscurveError):
     """Combining elements that live over different moduli."""
 
 
@@ -35,14 +37,13 @@ class HeisenbergElement:
 
     def __post_init__(self):
         n, x, y, z = self.n, self.x, self.y, self.z
+        # the inline tests keep construction fast; the check words the error
         if not type(n) is type(x) is type(y) is type(z) is int:
             for name in ("n", "x", "y", "z"):
-                v = getattr(self, name)
-                if type(v) is not int:
-                    raise TypeError("HeisenbergElement %s must be an int, "
-                                    "got %r" % (name, v))
+                _int_at_least(getattr(self, name), None,
+                              "HeisenbergElement " + name)
         if n < 1:
-            raise ValueError("n must be >= 1, got %r" % (n,))
+            _int_at_least(n, 1)
         object.__setattr__(self, "x", x % n)
         object.__setattr__(self, "y", y % n)
         object.__setattr__(self, "z", z % n)
@@ -134,10 +135,7 @@ def enumerate_group(n):
     """An iterator over all n^3 elements, ordered lexicographically by
     (x, y, z); elements are built as they are read.  n must be an int (not
     a bool) >= 1, checked when called."""
-    if type(n) is not int:
-        raise TypeError("n must be an int, got %r" % (n,))
-    if n < 1:
-        raise ValueError("n must be >= 1, got %r" % (n,))
+    _int_at_least(n, 1)
     # nested ranges, not itertools.product, which would first copy range(n)
     # into a tuple of n ints
     return (HeisenbergElement(n, x, y, z)

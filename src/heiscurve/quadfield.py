@@ -30,10 +30,12 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, isqrt, lcm
 
+from .errors import HeiscurveError
+
 DEFAULT_D = -3
 
 
-class NotASquare(ArithmeticError):
+class NotASquare(ArithmeticError, HeiscurveError):
     """No square root of value exists inside its field.  The message is
     built only when the error is shown."""
 
@@ -45,7 +47,7 @@ class NotASquare(ArithmeticError):
         return "%s is not a square in Q(sqrt %d)" % (self.value, self.value.d)
 
 
-class UnsupportedFactorization(ArithmeticError):
+class UnsupportedFactorization(ArithmeticError, HeiscurveError):
     """Polynomial does not visibly split into degree <= 2 factors."""
 
 

@@ -22,6 +22,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
+from .errors import _int_at_least
 from .heisenberg import HeisenbergElement, commutator
 
 _TOKEN = re.compile(r"([abAB])(?:\^(-?\d+))?")
@@ -40,8 +41,7 @@ def _reduce(syllables):
         if gen not in GENERATORS:
             raise ValueError("unknown generator %r" % (gen,))
         if type(exp) is not int:
-            raise TypeError("the exponent of %r must be an int, got %r"
-                            % (gen, exp))
+            _int_at_least(exp, None, "the exponent of %r" % (gen,))
         if exp == 0:
             continue
         if stack and stack[-1][0] == gen:
@@ -184,14 +184,9 @@ def eval_in_heisenberg(word, n):
 
 
 def eval_in_abelianization(word, n):
-    """Exponent sums of a and b, reduced mod n."""
-    if type(n) is not int:
-        raise TypeError("modulus n must be an int, got %r" % (n,))
-    if n < 1:
-        raise ValueError("n must be >= 1, got %r" % (n,))
-    ea = sum(e for g, e in word.syllables if g == "a")
-    eb = sum(e for g, e in word.syllables if g == "b")
-    return (ea % n, eb % n)
+    """Exponent sums of a and b, reduced mod n: the image in H_n
+    abelianized."""
+    return eval_in_heisenberg(word, n).abelianize()
 
 
 def in_heisenberg_kernel(word, n):

@@ -64,12 +64,23 @@ class TestRiemannHurwitz:
         ((0.5, 6, (2, 3)), "base_genus must be an int, got 0.5"),
         ((True, 6, (2, 3)), "base_genus must be an int, got True"),
         ((0, 6.0, (2, 3)), "group_order must be an int, got 6.0"),
-        ((0, 6, (2.0, 3)), "indices must be ints, got 2.0"),
-        ((0, 6, [2, Fraction(3)]), r"indices must be ints, got Fraction\(3, 1\)"),
+        ((0, 6, (2.0, 3)), "ramification index must be an int, got 2.0"),
+        ((0, 6, [2, Fraction(3)]),
+         r"ramification index must be an int, got Fraction\(3, 1\)"),
     ])
     def test_non_int_data_rejected(self, args, message):
         with pytest.raises(TypeError, match=message):
             RamificationData(*args)
+
+    @pytest.mark.parametrize("args, message", [
+        ((-1, 6), "base_genus must be >= 0, got -1"),
+        ((0, 0), "group_order must be >= 1, got 0"),
+        ((0, 6, (1,)), "ramification index must be >= 2, got 1"),
+    ])
+    def test_out_of_range_data_rejected(self, args, message):
+        with pytest.raises(ValueError) as info:
+            RamificationData(*args)
+        assert str(info.value) == message
 
 
 class TestGenusFormulas:
@@ -183,7 +194,7 @@ class TestStabilizers:
             assert len(stab) * orbit_size(point, n) == n * n
 
     def test_bad_family_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="got 'R'$"):
             PointClass("R", 0)
 
     @pytest.mark.parametrize("value", (1.5, 2.0, True, Fraction(1)))
@@ -235,6 +246,19 @@ class TestCoverRamification:
         assert cover_ramification(3).describe() == "unramified"
         assert "8 points" in cover_ramification(4).describe()
 
+    def test_matches_the_closed_form(self):
+        """Odd n: unramified.  Even n: the n cusps over infinity each carry
+        n/2 points, all with ramification index 2."""
+        for n in range(2, 201):
+            if n % 2 == 1:
+                expected = CoverRamification(n, True, 1, (), 0)
+            else:
+                cusps = tuple(PointClass("Qprime", k) for k in range(n))
+                expected = CoverRamification(n, False, 2, cusps, n * n // 2)
+            ram = cover_ramification(n)
+            assert ram == expected, n
+            assert ram.describe() == expected.describe(), n
+
 
 class TestModularAutOrder:
     @pytest.mark.parametrize("n,order", [(5, 750), (4, 128), (3, 162)])
@@ -277,7 +301,7 @@ class TestConsistency:
         }
 
     def test_bad_target_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="got 'nonsense'$"):
             signature_consistency(4, (2,), 2, "nonsense")
 
 

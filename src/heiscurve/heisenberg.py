@@ -88,8 +88,8 @@ class HeisenbergElement:
         return HeisenbergElement(self.n, -self.x, -self.y, -self.z + self.x * self.y)
 
     def __pow__(self, exponent):
-        if not isinstance(exponent, int):
-            return NotImplemented
+        if type(exponent) is not int:
+            _int_at_least(exponent, None, "exponent")
         if exponent < 0:
             return self.inverse() ** (-exponent)
         v = exponent

@@ -4,6 +4,8 @@ A word is a tuple of syllables (generator, exponent) with nonzero exponents
 and no two adjacent syllables on the same generator; the empty tuple is the
 identity.  Words evaluate homomorphically into the Heisenberg group mod n
 (a -> generator_a, b -> generator_b) and into (Z/n)^2 by exponent sums.
+Whether an endomorphism lifts to the Heisenberg cover is read off the
+parity of the exponent sums of its images, without evaluation.
 
 Kernel membership for both quotient maps is decided by *evaluation* in the
 finite target group, which is a genuine decision procedure.  The generating
@@ -23,7 +25,7 @@ import re
 from dataclasses import dataclass
 
 from .errors import _int_at_least
-from .heisenberg import HeisenbergElement, commutator
+from .heisenberg import HeisenbergElement
 
 _TOKEN = re.compile(r"([abAB])(?:\^(-?\d+))?")
 
@@ -126,9 +128,14 @@ class Word:
 
     def __pow__(self, k):
         """w^k = t c^k t^-1 with c cyclically reduced, so c^k needs no
-        reduction and the two seams with t cancel in constant time."""
-        if not isinstance(k, int):
-            return NotImplemented
+        reduction and the two seams with t cancel in constant time.  The
+        unit powers w and w^-1 skip the split."""
+        if type(k) is not int:
+            _int_at_least(k, None, "exponent")
+        if k == 1:
+            return self
+        if k == -1:
+            return self.inverse()
         t, core = _cyclic_split(self.syllables)
         if k < 0:
             core, k = _invert(core), -k
@@ -172,7 +179,11 @@ def eval_in_heisenberg(word, n):
 
     Right-multiplying (x, y, z) by a^e adds e to x; by b^e it adds e to y
     and x*e to the corner.  The sums stay plain integers until the end.
+    n must be an int (not a bool) >= 1.
     """
+    # the inline test keeps the call fast; the check words the error
+    if type(n) is not int or n < 1:
+        _int_at_least(n, 1)
     x = y = z = 0
     for g, e in word.syllables:
         if g == "a":
@@ -247,20 +258,39 @@ def heisenberg_kernel_generators(n):
     return (A**n, B**n, COMMUTATOR**n)
 
 
-def lifts_to_heisenberg_cover(endo, n):
-    """Whether the endomorphism preserves the kernel of the Heisenberg map.
+def _exponent_sums(word):
+    """(x, y): the exponent sums of a and of b in the word."""
+    x = y = 0
+    for g, e in word.syllables:
+        if g == "a":
+            x += e
+        else:
+            y += e
+    return x, y
 
-    Checked on the kernel's generating set: the image of each of a^n, b^n,
-    [a,b]^n must again evaluate to the identity mod n.  Evaluation and endo
-    are homomorphisms, so with g_a, g_b the images of endo(a), endo(b) in
-    H_n those images are g_a^n, g_b^n and [g_a, g_b]^n; the closed-form
-    power law makes the test cost the same for every n.
+
+def lifts_to_heisenberg_cover(endo, n):
+    """Whether the endomorphism preserves the kernel of the Heisenberg map:
+    true for odd n, and for even n exactly when x*y is even for the
+    exponent sums (x, y) of each of endo(a) and endo(b).
+
+    Checked on the kernel's generating set a^n, b^n, [a,b]^n: the test is
+    whether g_a^n, g_b^n and [g_a, g_b]^n are trivial, where g_a, g_b are
+    the images of endo(a), endo(b) in H_n (evaluation is a homomorphism):
+      - [g_a, g_b] is central, so its n-th power is trivial;
+      - g = (x, y, z) has g^n = (0, 0, n(n-1)/2 * x*y) mod n;
+      - n(n-1)/2 is a multiple of n for odd n, and n/2 times an odd
+        number for even n, so g^n is trivial iff n is odd or x*y is even.
+    No element of H_n is built.  n must be an int (not a bool) >= 1.
     """
-    g_a = eval_in_heisenberg(endo.image_of_a, n)
-    g_b = eval_in_heisenberg(endo.image_of_b, n)
-    return all(
-        (g**n).is_identity() for g in (g_a, g_b, commutator(g_a, g_b))
-    )
+    _int_at_least(n, 1)
+    if n % 2:
+        return True
+    for image in (endo.image_of_a, endo.image_of_b):
+        x, y = _exponent_sums(image)
+        if x % 2 and y % 2:
+            return False
+    return True
 
 
 def _drop(syllable, k):

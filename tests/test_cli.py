@@ -11,9 +11,11 @@ import signal
 import subprocess
 import sys
 import tracemalloc
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import heiscurve
 from heiscurve import cli, covers, elliptic, heisenberg, quadfield
@@ -460,6 +462,67 @@ class TestParsing:
     def test_missing_required_flag(self, capsys):
         code, _, err = run(capsys, "genus")
         assert code == 1
+
+
+# near-miss values for any flag: below the least modulus, a float, a
+# non-number; None leaves the flag out
+NEAR_MISS = ("0", "-1", "2.0", "x", None)
+
+
+def _flag(name, *valid):
+    """[name, value] for a valid or near-miss value, or [] for no flag."""
+    return st.sampled_from(valid + NEAR_MISS).map(
+        lambda v: [] if v is None else [name, v])
+
+
+def _argv(command, *flags):
+    return st.tuples(*flags).map(
+        lambda parts: [command] + [arg for part in parts for arg in part])
+
+
+# n stays small so `group --op enumerate` writes few lines
+_MODULI = ("5", "6", "1", "2", "7", "12")
+_WORDS = ("abAB", "a^3bA^2", "A^-2", "b")
+_ENDOS = ("i2", "id", "i1", "i1i2i1")
+_TRIPLES = ("1,2,3", "0,0,0", "-1,4,2", "5,5,5", "1,1")
+WORD_ARGV = _argv(
+    "word",
+    _flag("--n", *_MODULI),
+    st.one_of(_flag("--eval", *_WORDS), _flag("--kernel", *_WORDS),
+              _flag("--lift", *_ENDOS), _flag("--nielsen", *_ENDOS)),
+    _flag("--format", "text", "json", "text", "json"),
+)
+GROUP_ARGV = _argv(
+    "group",
+    _flag("--n", *_MODULI),
+    _flag("--op", "mul", "pow", "order", "abelianize", "enumerate"),
+    _flag("--element", *_TRIPLES),
+    _flag("--other", *_TRIPLES),
+    _flag("--exp", "3", "-2", "0", "1"),
+    _flag("--format", "text", "json", "text", "json"),
+)
+
+
+class TestArgvSweep:
+    """Any argv of the two subcommands exits 0, 1 or 2 without raising."""
+
+    @staticmethod
+    def exit_code(argv):
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(argv)
+        assert "Traceback" not in err.getvalue()
+        return code
+
+    @settings(max_examples=60, deadline=None)
+    @given(WORD_ARGV)
+    def test_word(self, argv):
+        assert self.exit_code(argv) in (0, 1, 2)
+
+    @settings(max_examples=60, deadline=None)
+    @given(GROUP_ARGV)
+    def test_group(self, argv):
+        assert self.exit_code(argv) in (0, 1, 2)
 
 
 README = Path(__file__).resolve().parent.parent / "README.md"

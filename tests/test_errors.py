@@ -42,25 +42,41 @@ CONTRACT = [
      lambda v: words.eval_in_abelianization(words.COMMUTATOR, v), 1),
     ("lifts_to_heisenberg_cover",
      lambda v: words.lifts_to_heisenberg_cover(words.SWAP, v), 1),
+    ("HeisenbergElement.__pow__", lambda v: HeisenbergElement(5, 1, 2, 3) ** v,
+     None),
+    ("Word.__pow__", lambda v: words.A ** v, None),
 ]
+
+# rows whose message must also start by naming the row's own argument,
+# not that of a constructor the call builds
+PREFIX = {
+    "eval_in_heisenberg": "n must be ",
+    "eval_in_abelianization": "n must be ",
+    "lifts_to_heisenberg_cover": "n must be ",
+    "HeisenbergElement.__pow__": "exponent must be ",
+    "Word.__pow__": "exponent must be ",
+}
 
 NON_INTS = (True, 2.0, Fraction(3), "3")
 
 
 def _cases():
     for name, call, least in CONTRACT:
+        prefix = PREFIX.get(name, "")
         for value in NON_INTS:
-            yield pytest.param(call, value, TypeError, id="%s-%r" % (name, value))
+            yield pytest.param(call, value, TypeError, prefix,
+                               id="%s-%r" % (name, value))
         if least is not None:
-            yield pytest.param(call, least - 1, ValueError,
+            yield pytest.param(call, least - 1, ValueError, prefix,
                                id="%s-%r" % (name, least - 1))
 
 
-@pytest.mark.parametrize("call, value, error", _cases())
-def test_near_miss_is_rejected_naming_the_value(call, value, error):
+@pytest.mark.parametrize("call, value, error, prefix", _cases())
+def test_near_miss_is_rejected_naming_the_value(call, value, error, prefix):
     with pytest.raises(error) as info:
         call(value)
     assert type(info.value) is error
+    assert str(info.value).startswith(prefix)
     assert str(info.value).endswith("got %r" % (value,))
 
 

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from heiscurve import words
-from heiscurve.heisenberg import HeisenbergElement
+from heiscurve.heisenberg import HeisenbergElement, commutator
 from heiscurve.words import (
     A,
     B,
@@ -180,13 +180,57 @@ def lifts_by_word_expansion(endo, n):
     )
 
 
+def lifts_by_power_law(endo, n):
+    """Oracle: evaluate endo(a), endo(b) once in H_n and test g_a^n, g_b^n
+    and [g_a, g_b]^n with the closed-form power law."""
+    g_a = eval_in_heisenberg(endo.image_of_a, n)
+    g_b = eval_in_heisenberg(endo.image_of_b, n)
+    return all(
+        (g**n).is_identity() for g in (g_a, g_b, commutator(g_a, g_b))
+    )
+
+
+# images of up to 10 syllables after reduction, exponents in -7..7
+image_words = st.lists(
+    st.tuples(st.sampled_from("ab"), st.integers(-7, 7)), max_size=10
+).map(lambda items: Word(tuple(items)))
+endos = st.builds(Endo, image_words, image_words)
+lift_moduli = st.one_of(
+    st.integers(1, 64),
+    st.sampled_from((2**61 - 1, 2**62, 10**18, 10**18 + 1)),
+)
+
+
 class TestLifting:
     @pytest.mark.parametrize("name", sorted(S3_ENDOS))
     def test_matches_word_expansion(self, name):
         endo = S3_ENDOS[name]
         for n in range(1, 41):
             expected = lifts_by_word_expansion(endo, n)
+            assert lifts_by_power_law(endo, n) == expected
             assert lifts_to_heisenberg_cover(endo, n) == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(endos, lift_moduli)
+    def test_parity_criterion_matches_the_oracles(self, endo, n):
+        lifts = lifts_to_heisenberg_cover(endo, n)
+        assert lifts == lifts_by_power_law(endo, n)
+        if n <= 12:
+            assert lifts == lifts_by_word_expansion(endo, n)
+
+    def test_builds_no_heisenberg_element(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("built an element of H_n")
+
+        monkeypatch.setattr(HeisenbergElement, "__post_init__", refuse)
+        assert lifts_to_heisenberg_cover(S3_ENDOS["i1"], 6)
+        assert not lifts_to_heisenberg_cover(S3_ENDOS["i2"], 6)
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_all_six_lift_for_odd_n_and_only_id_i1_for_even_n(self, n):
+        lifting = {name for name, e in S3_ENDOS.items()
+                   if lifts_to_heisenberg_cover(e, n)}
+        assert lifting == (set(S3_ENDOS) if n % 2 else {"id", "i1"})
 
     @pytest.mark.parametrize("n", range(2, 13))
     def test_swap_always_lifts(self, n):
@@ -322,6 +366,12 @@ class TestAgainstOracle:
     def test_pow(self, w, k):
         assert (w**k).syllables == oracle_pow(w, k).syllables
 
+    @settings(max_examples=100, deadline=None)
+    @given(any_words)
+    def test_unit_powers(self, w):
+        assert (w**1).syllables == w.syllables
+        assert (w**-1).syllables == w.inverse().syllables
+
     @pytest.mark.parametrize("k", (-2, -1, 0, 1, 2))
     def test_pow_of_empty_word(self, k):
         assert (Word() ** k).syllables == ()
@@ -337,6 +387,19 @@ class TestAgainstOracle:
     def test_apply(self, name, w):
         endo = S3_ENDOS[name]
         assert endo.apply(w).syllables == oracle_apply(endo, w).syllables
+
+    @settings(max_examples=100, deadline=None)
+    @given(endos, any_words)
+    def test_apply_matches_per_syllable_expansion(self, endo, w):
+        """Each syllable's image raised by the general cyclic-split power,
+        unit exponents included, then one reduction of the whole."""
+        images = {"a": endo.image_of_a, "b": endo.image_of_b}
+        expanded = []
+        for g, e in w.syllables:
+            t, core = words._cyclic_split(images[g].syllables)
+            expanded += t + oracle_pow(Word(core), e).syllables + oracle_inverse(
+                Word(t)).syllables
+        assert endo.apply(w).syllables == Word(tuple(expanded)).syllables
 
     @pytest.mark.parametrize("name", sorted(S3_ENDOS))
     def test_apply_to_empty_word(self, name):

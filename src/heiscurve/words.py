@@ -258,17 +258,6 @@ def heisenberg_kernel_generators(n):
     return (A**n, B**n, COMMUTATOR**n)
 
 
-def _exponent_sums(word):
-    """(x, y): the exponent sums of a and of b in the word."""
-    x = y = 0
-    for g, e in word.syllables:
-        if g == "a":
-            x += e
-        else:
-            y += e
-    return x, y
-
-
 def lifts_to_heisenberg_cover(endo, n):
     """Whether the endomorphism preserves the kernel of the Heisenberg map:
     true for odd n, and for even n exactly when x*y is even for the
@@ -287,7 +276,8 @@ def lifts_to_heisenberg_cover(endo, n):
     if n % 2:
         return True
     for image in (endo.image_of_a, endo.image_of_b):
-        x, y = _exponent_sums(image)
+        x = sum(e for g, e in image.syllables if g == "a")
+        y = sum(e for g, e in image.syllables if g == "b")
         if x % 2 and y % 2:
             return False
     return True

@@ -13,6 +13,7 @@ Subpackages:
 """
 
 from .covers import (
+    GroupAxiomFailure,
     PointClass,
     RamificationData,
     Verdict,

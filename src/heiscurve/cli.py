@@ -4,7 +4,8 @@ Every computation is exact: all numeric output is integers or fractions
 rendered as num/den, never floating point.  Exit codes: 0 success, 1 usage
 error, 2 mathematical error (any HeiscurveError: NonIntegerGenus,
 SingularCurve, PointNotOnCurve, BadKernelPoint, NoUniqueJZeroCodomain,
-ZeroHessian, NotASquare, UnsupportedFactorization, ModulusMismatch), 3
+ZeroHessian, NotASquare, UnsupportedFactorization, ModulusMismatch,
+GroupAxiomFailure), 3
 when `audit` finds any inconsistent signature claim (so a CI run can pin
 the known discrepancies via an expected-verdicts file),
 141, as for a process killed by SIGPIPE, when the reader of stdout closes

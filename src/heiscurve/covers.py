@@ -25,6 +25,16 @@ class NonIntegerGenus(ArithmeticError, HeiscurveError):
     """Riemann-Hurwitz data that does not yield a nonnegative integer genus."""
 
 
+class GroupAxiomFailure(ArithmeticError, HeiscurveError):
+    """FermatAutGroup(n) fails one of the checks of verify_axioms, named by
+    check: "invertible", "homomorphism", "identity" or "inverse"."""
+
+    def __init__(self, n, check, detail):
+        super().__init__("the %s check fails for n = %d: %s" % (check, n, detail))
+        self.n = n
+        self.check = check
+
+
 @dataclass(frozen=True)
 class RamificationData:
     """Base genus, Galois group order and branch indices of a Galois cover."""
@@ -434,29 +444,33 @@ class FermatAutGroup:
         the basis vectors: each of the six matrices is invertible mod n, and
         the action of s t equals that of s after t for all 36 pairs (s, t).
         The identity and inverse are then checked on (basis vector, s) for
-        every s.  Raises AssertionError on the first failure.
+        every s.  Raises GroupAxiomFailure on the first failure.
         """
         n = self.n
         basis = ((1, 0), (0, 1))
         for name in _S3_PERMS:
             (a, b), (c, d) = symmetry_matrix(name, n)
             if gcd(a * d - b * c, n) != 1:
-                raise AssertionError("%s is not invertible mod %d" % (name, n))
+                raise GroupAxiomFailure(n, "invertible", "%s is not invertible "
+                                        "mod %d" % (name, n))
         for s, t in product(_S3_PERMS.values(), repeat=2):
             st = _compose_perms(s, t)
             for v in basis:
                 if symmetry_action(st, v, n) != symmetry_action(
                         s, symmetry_action(t, v, n), n):
-                    raise AssertionError(
+                    raise GroupAxiomFailure(
+                        n, "homomorphism",
                         "the action of %s after %s is not that of their product"
                         % (_PERM_NAMES[s], _PERM_NAMES[t]))
         e = self.identity()
         for s, v in product(_S3_PERMS.values(), basis):
             g = (v, s)
             if self.multiply(g, e) != g or self.multiply(e, g) != g:
-                raise AssertionError("identity fails")
+                raise GroupAxiomFailure(n, "identity", "g e or e g is not g "
+                                        "for g = %r" % (g,))
             if self.multiply(g, self.inverse(g)) != e:
-                raise AssertionError("inverse fails")
+                raise GroupAxiomFailure(n, "inverse", "g g^-1 is not e for "
+                                        "g = %r" % (g,))
         return True
 
 

@@ -483,9 +483,13 @@ def _cubic(coeffs):
     return cubic
 
 
-def _second_partials(mono):
-    """(r, s, t, f) for r <= s: d^2/dv_r dv_s of the monomial is f * v_t."""
+def _hessian_slots(mono):
+    """(slot, f) pairs for a monomial: its second partial d^2/dv_r dv_s,
+    r <= s, is f * v_t, and it lands in slot 3 * entry + t, where entry
+    numbers the upper triangle a, b, c, d, e, g of the symmetric matrix
+    [[a, b, c], [b, d, e], [c, e, g]] row by row."""
     out = []
+    entry = 0
     for r in range(3):
         for s in range(r, 3):
             e = list(mono)
@@ -494,27 +498,13 @@ def _second_partials(mono):
             f *= e[s]
             e[s] -= 1
             if f:
-                out.append((r, s, e.index(1), f))
+                out.append((3 * entry + e.index(1), f))
+            entry += 1
     return tuple(out)
 
 
-_SECOND_PARTIALS = {m: _second_partials(m) for m in _MONOMIALS}
+_HESSIAN_SLOTS = {m: _hessian_slots(m) for m in _MONOMIALS}
 _SORTED_MONOMIALS = tuple(sorted(_MONOMIALS))
-
-
-def _linear_product(u, v):
-    """u*v for linear forms (x, y, z coefficients) as a quadratic form with
-    coefficients of xx, xy, xz, yy, yz, zz."""
-    u0, u1, u2 = u
-    v0, v1, v2 = v
-    return (u0 * v0, u0 * v1 + u1 * v0, u0 * v2 + u2 * v0,
-            u1 * v1, u1 * v2 + u2 * v1, u2 * v2)
-
-
-def _minor(u, v, w, t):
-    """The quadratic form u*v - w*t of four linear forms."""
-    return tuple(p - q for p, q in zip(_linear_product(u, v),
-                                       _linear_product(w, t)))
 
 
 def _linear_times_quadratic(l, q):
@@ -531,37 +521,53 @@ def hessian(cubic):
 
     With L the lcm of the coefficient denominators, L*F has integer
     coefficients, so each second partial of L*F is an integer linear form.
-    det H(L*F) = L^3 det H(F) is expanded in integers along the first row
-    of the symmetric matrix, from three 2x2 minors that are quadratic forms,
-    and divided by L^3 once per monomial.  Raises ZeroHessian when the
-    determinant vanishes identically (the cubic is a cone).
+    The symmetric matrix [[a, b, c], [b, d, e], [c, e, g]] of these forms
+    is held as its six distinct entries, 18 integers, and
+    det H(L*F) = L^3 det H(F) = a(dg - e^2) - b(bg - ec) + c(be - dc) is
+    expanded from the three quadratic minors written out coefficient by
+    coefficient, then divided by L^3 once per monomial.  Raises ZeroHessian
+    when the determinant vanishes identically (the cubic is a cone).
     """
     scale = lcm(*(c.denominator for _, c in cubic.coeffs))
-    H = [[[0, 0, 0] for _ in range(3)] for _ in range(3)]
+    h = [0] * 18
     for mono, coeff in cubic.coeffs:
         n = coeff.numerator * (scale // coeff.denominator)
-        for r, s, t, f in _SECOND_PARTIALS[mono]:
-            H[r][s][t] += f * n
-    (h00, h01, h02), (_, h11, h12), (_, _, h22) = H
-    det = [(mono, p - q + r) for p, q, r, mono in zip(
-        _linear_times_quadratic(h00, _minor(h11, h22, h12, h12)),
-        _linear_times_quadratic(h01, _minor(h01, h22, h12, h02)),
-        _linear_times_quadratic(h02, _minor(h01, h12, h11, h02)),
-        _SORTED_MONOMIALS,
-    )]
+        for slot, f in _HESSIAN_SLOTS[mono]:
+            h[slot] += f * n
+    a0, a1, a2, b0, b1, b2, c0, c1, c2, d0, d1, d2, e0, e1, e2, g0, g1, g2 = h
+    # each minor as its coefficients of xx, xy, xz, yy, yz, zz
+    dg_ee = (d0 * g0 - e0 * e0, d0 * g1 + d1 * g0 - 2 * e0 * e1,
+             d0 * g2 + d2 * g0 - 2 * e0 * e2, d1 * g1 - e1 * e1,
+             d1 * g2 + d2 * g1 - 2 * e1 * e2, d2 * g2 - e2 * e2)
+    bg_ec = (b0 * g0 - e0 * c0, b0 * g1 + b1 * g0 - e0 * c1 - e1 * c0,
+             b0 * g2 + b2 * g0 - e0 * c2 - e2 * c0, b1 * g1 - e1 * c1,
+             b1 * g2 + b2 * g1 - e1 * c2 - e2 * c1, b2 * g2 - e2 * c2)
+    be_dc = (b0 * e0 - d0 * c0, b0 * e1 + b1 * e0 - d0 * c1 - d1 * c0,
+             b0 * e2 + b2 * e0 - d0 * c2 - d2 * c0, b1 * e1 - d1 * c1,
+             b1 * e2 + b2 * e1 - d1 * c2 - d2 * c1, b2 * e2 - d2 * c2)
     cube = scale**3
-    coeffs = tuple((mono, Fraction(n, cube)) for mono, n in det if n)
+    coeffs = []
+    for mono, p, q, r in zip(_SORTED_MONOMIALS,
+                             _linear_times_quadratic((a0, a1, a2), dg_ee),
+                             _linear_times_quadratic((b0, b1, b2), bg_ec),
+                             _linear_times_quadratic((c0, c1, c2), be_dc)):
+        n = p - q + r
+        if n:
+            coeffs.append((mono, Fraction(n, cube)))
     if not coeffs:
         raise ZeroHessian(cubic)
-    return _cubic(coeffs)
+    return _cubic(tuple(coeffs))
 
 
 def fermat_cubic_weierstrass():
     """The cubic y^2 z - x^3 + 432 z^3 and its affine curve y^2 = x^3 - 432.
 
     This is the classical Weierstrass model of x^3 + y^3 = z^3 under the
-    substitution (x, y) -> (12 z / (x + y), 36 (x - y) / (x + y)), recorded
-    as given data.
+    substitution (x, y) -> (12 z / (x + y), 36 (x - y) / (x + y)).  The
+    tests check it at every prime 5 <= p < 100: both curves have the same
+    number of points over F_p, the substitution sends each affine point of
+    x^3 + y^3 = 1 with x + y != 0 onto y^2 = x^3 - 432, and the Hessian
+    vanishes at the base point (0 : 1 : 0), which is therefore a flex.
     """
     cubic = Cubic.from_dict({
         (0, 2, 1): Fraction(1),

@@ -30,7 +30,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, isqrt, lcm
 
-from .errors import HeiscurveError
+from .errors import HeiscurveError, _int_at_least
 
 DEFAULT_D = -3
 
@@ -175,8 +175,8 @@ class QuadNum:
         return self.inverse() * other
 
     def __pow__(self, k):
-        if not isinstance(k, int):
-            return NotImplemented
+        if type(k) is not int:
+            _int_at_least(k, None, "exponent")
         if k < 0:
             return self.inverse() ** (-k)
         if k == 0:

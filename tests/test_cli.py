@@ -366,6 +366,7 @@ MATH_ERROR_NAMES = {
     "NonIntegerGenus", "SingularCurve", "PointNotOnCurve",
     "BadKernelPoint", "NoUniqueJZeroCodomain", "ZeroHessian",
     "NotASquare", "UnsupportedFactorization", "ModulusMismatch",
+    "GroupAxiomFailure",
 }
 
 
@@ -386,7 +387,7 @@ def test_every_library_exception_has_an_exit_code():
     """No exception class of the library can escape main as a traceback:
     each is a HeiscurveError (exit 2) or a ValueError (exit 1), apart from
     the CLI's own CliError, which carries its exit code.  The
-    HeiscurveError subclasses are exactly the nine math errors."""
+    HeiscurveError subclasses are exactly the ten math errors."""
     defined = _library_exceptions()
     assert HeiscurveError in defined
     for exc in defined - {cli.CliError}:
@@ -400,6 +401,7 @@ def test_every_library_exception_has_an_exit_code():
 PLANTED_ARGS = {
     "NotASquare": (quadfield.QuadNum(2, 0, -3),),
     "NoUniqueJZeroCodomain": (-1, 0),
+    "GroupAxiomFailure": (3, "identity", "planted"),
 }
 
 
@@ -501,10 +503,58 @@ GROUP_ARGV = _argv(
     _flag("--exp", "3", "-2", "0", "1"),
     _flag("--format", "text", "json", "text", "json"),
 )
+_FORMAT = _flag("--format", "text", "json", "text", "json")
+# d = 5 is not negative; d = -1000003 makes the c3 table lose its j = 0 row
+_DISCRIMINANTS = ("-3", "-3", "5", "-1000003", "-7")
+# the kernel point (12, 36) of y^2 = x^3 - 432 and its neighbours
+_ELEMENTS = ("0", "-432", "12", "36", "-36", "16", "2160-2160r",
+             "3/2+1/2r", "r", "1/0")
+GENUS_ARGV = _argv(
+    "genus",
+    st.one_of(_flag("--fermat", "3", "5", "40"),
+              _flag("--heisenberg", "2", "6", "40"),
+              st.sampled_from([["--rh"], []])),
+    _flag("--base-genus", "0", "1"),
+    _flag("--order", "6", "168", "24"),
+    _flag("--indices", "2,3,7", "2,2", "3,3,3", "1,2", ",,"),
+    _FORMAT,
+)
+AUDIT_ARGV = _argv("audit", _flag("--n-max", "3", "12", "25", "40"), _FORMAT)
+C3_ARGV = _argv("c3", _flag("--d", *_DISCRIMINANTS), _FORMAT)
+TORSION_ARGV = _argv(
+    "torsion",
+    _flag("--A", *_ELEMENTS),
+    _flag("--B", *_ELEMENTS),
+    _flag("--d", *_DISCRIMINANTS),
+    _FORMAT,
+)
+# six flags rarely all draw a valid value, so the kernel points come too
+ISOGENY_ARGV = st.one_of(_argv(
+    "isogeny",
+    _flag("--A", "0", "0", "1"),
+    _flag("--B", "-432", "-432", "16"),
+    _flag("--x", *_ELEMENTS),
+    _flag("--y", *_ELEMENTS),
+    _flag("--d", *_DISCRIMINANTS),
+    _FORMAT,
+), _argv(
+    "isogeny",
+    st.just(["--A", "0", "--B", "-432", "--x", "12"]),
+    _flag("--y", "36", "-36"),
+    _FORMAT,
+))
+J_ARGV = _argv(
+    "j",
+    _flag("--A", *_ELEMENTS),
+    _flag("--B", *_ELEMENTS),
+    _flag("--d", *_DISCRIMINANTS),
+    _FORMAT,
+)
 
 
 class TestArgvSweep:
-    """Any argv of the two subcommands exits 0, 1 or 2 without raising."""
+    """Any argv of a subcommand returns an exit code from main, without
+    raising or printing a traceback: 0, 1 or 2, or 3 for a failed audit."""
 
     @staticmethod
     def exit_code(argv):
@@ -522,6 +572,36 @@ class TestArgvSweep:
     @settings(max_examples=60, deadline=None)
     @given(GROUP_ARGV)
     def test_group(self, argv):
+        assert self.exit_code(argv) in (0, 1, 2)
+
+    @settings(max_examples=30, deadline=None)
+    @given(GENUS_ARGV)
+    def test_genus(self, argv):
+        assert self.exit_code(argv) in (0, 1, 2)
+
+    @settings(max_examples=15, deadline=None)
+    @given(AUDIT_ARGV)
+    def test_audit(self, argv):
+        assert self.exit_code(argv) in (0, 1, 2, 3)
+
+    @settings(max_examples=15, deadline=None)
+    @given(C3_ARGV)
+    def test_c3(self, argv):
+        assert self.exit_code(argv) in (0, 1, 2)
+
+    @settings(max_examples=30, deadline=None)
+    @given(TORSION_ARGV)
+    def test_torsion(self, argv):
+        assert self.exit_code(argv) in (0, 1, 2)
+
+    @settings(max_examples=30, deadline=None)
+    @given(ISOGENY_ARGV)
+    def test_isogeny(self, argv):
+        assert self.exit_code(argv) in (0, 1, 2)
+
+    @settings(max_examples=30, deadline=None)
+    @given(J_ARGV)
+    def test_j(self, argv):
         assert self.exit_code(argv) in (0, 1, 2)
 
 

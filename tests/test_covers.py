@@ -9,6 +9,7 @@ from heiscurve import covers
 from heiscurve.covers import (
     CoverRamification,
     FermatAutGroup,
+    GroupAxiomFailure,
     NonIntegerGenus,
     PointClass,
     RamificationData,
@@ -413,6 +414,19 @@ def _swap_xy_acts_trivially(perm, pair, n, action=covers.symmetry_action):
     return action(perm, pair, n)
 
 
+def _collapse(perm, pair, n):
+    """Sends every vector to 0, so no symmetry acts invertibly."""
+    return (0, 0)
+
+
+# the first check of verify_axioms that each broken action fails
+FAILED_CHECK = {
+    _translate_first_coordinate: "homomorphism",
+    _swap_xy_acts_trivially: "homomorphism",
+    _collapse: "invertible",
+}
+
+
 class TestFermatAutGroup:
     def test_order(self):
         assert build_fermat_aut(4, verify=False).order == 96
@@ -424,15 +438,19 @@ class TestFermatAutGroup:
         assert group.verify_axioms()
 
     @pytest.mark.parametrize(
-        "action", (_translate_first_coordinate, _swap_xy_acts_trivially))
+        "action", (_translate_first_coordinate, _swap_xy_acts_trivially,
+                   _collapse))
     def test_broken_action_fails_both_checks(self, monkeypatch, action):
+        check = FAILED_CHECK[action]
         monkeypatch.setattr(covers, "symmetry_action", action)
         group = FermatAutGroup(3)
         with pytest.raises(AssertionError):
             exhaustive_axiom_check(group)
-        with pytest.raises(AssertionError):
+        with pytest.raises(GroupAxiomFailure) as info:
             group.verify_axioms()
-        with pytest.raises(AssertionError):
+        assert (info.value.n, info.value.check) == (3, check)
+        with pytest.raises(GroupAxiomFailure, match="the %s check fails for "
+                           "n = 3" % check):
             build_fermat_aut(3)
 
     def test_conjugation_matrices(self):

@@ -698,6 +698,54 @@ class TestHessian:
         assert all(type(c) is Fraction for _, c in cubic.coeffs)
 
 
+def fermat_points(p):
+    """The affine points of x^3 + y^3 = 1 over F_p, and the number of
+    points of x^3 + y^3 = z^3 on the line z = 0 of P^2(F_p)."""
+    cubes = [x**3 % p for x in range(p)]
+    affine = [(x, y) for x in range(p) for y in range(p)
+              if (cubes[x] + cubes[y]) % p == 1]
+    at_infinity = sum(1 for t in range(p) if (cubes[t] + 1) % p == 0)
+    return affine, at_infinity
+
+
+class TestFermatCubicModel:
+    """fermat_cubic_weierstrass's model of x^3 + y^3 = z^3, checked at
+    every prime 5 <= p < 100 rather than taken as given."""
+
+    @pytest.mark.parametrize("p", PRIMES)
+    def test_point_counts_agree(self, p):
+        affine, at_infinity = fermat_points(p)
+        if p % 3 == 1:
+            (trace,) = {t for (q, _), t in frobenius_traces(BASE).items() if q == p}
+        else:
+            # supersingular: u -> u^3 is a bijection, so #E(F_p) = p + 1
+            squares = [v * v % p for v in range(p)]
+            assert sum(squares.count((u**3 - 432) % p) for u in range(p)) == p
+            trace = 0
+        assert len(affine) + at_infinity == p + 1 - trace
+
+    @pytest.mark.parametrize("p", PRIMES)
+    def test_substitution_lands_on_the_model(self, p):
+        affine, _ = fermat_points(p)
+        for x, y in affine:
+            if (x + y) % p == 0:
+                continue
+            inv = pow(x + y, -1, p)
+            u, v = 12 * inv % p, 36 * (x - y) * inv % p
+            assert (v * v - u**3 + 432) % p == 0
+
+    def test_base_point_is_a_flex(self):
+        cubic, curve = fermat_cubic_weierstrass()
+        assert curve == BASE
+
+        def at_base_point(form):
+            # (0 : 1 : 0) kills every monomial but y^3
+            return form.as_dict().get((0, 3, 0), 0)
+
+        assert at_base_point(cubic) == 0
+        assert at_base_point(hessian(cubic)) == 0
+
+
 def oracle_division_poly_3(curve):
     """The earlier division_poly_3, built by field multiplication."""
     A, B, d = curve.A, curve.B, curve.d

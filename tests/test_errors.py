@@ -1,5 +1,5 @@
 """The shared integer-argument contract: every integer argument of the
-tower code is rejected with TypeError when it is not an int (a bool is
+tower code, and every power's exponent, is rejected with TypeError when it is not an int (a bool is
 not) and with ValueError below its least value, and each message ends in
 "got <repr of the value>"."""
 
@@ -9,6 +9,7 @@ import pytest
 
 from heiscurve import covers, words
 from heiscurve.heisenberg import HeisenbergElement, enumerate_group
+from heiscurve.quadfield import QuadNum
 
 POINT = covers.PointClass("P", 1)
 
@@ -45,6 +46,7 @@ CONTRACT = [
     ("HeisenbergElement.__pow__", lambda v: HeisenbergElement(5, 1, 2, 3) ** v,
      None),
     ("Word.__pow__", lambda v: words.A ** v, None),
+    ("QuadNum.__pow__", lambda v: QuadNum.of(2) ** v, None),
 ]
 
 # rows whose message must also start by naming the row's own argument,
@@ -55,6 +57,7 @@ PREFIX = {
     "lifts_to_heisenberg_cover": "n must be ",
     "HeisenbergElement.__pow__": "exponent must be ",
     "Word.__pow__": "exponent must be ",
+    "QuadNum.__pow__": "exponent must be ",
 }
 
 NON_INTS = (True, 2.0, Fraction(3), "3")

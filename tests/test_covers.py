@@ -5,6 +5,7 @@ from itertools import product
 
 import pytest
 
+import heiscurve
 from heiscurve import covers
 from heiscurve.covers import (
     CoverRamification,
@@ -452,6 +453,10 @@ class TestFermatAutGroup:
         with pytest.raises(GroupAxiomFailure, match="the %s check fails for "
                            "n = 3" % check):
             build_fermat_aut(3)
+
+    def test_axiom_failure_is_exported(self):
+        assert "GroupAxiomFailure" in heiscurve.__all__
+        assert heiscurve.GroupAxiomFailure is GroupAxiomFailure
 
     def test_conjugation_matrices(self):
         n = 5

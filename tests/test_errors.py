@@ -1,7 +1,7 @@
 """The shared integer-argument contract: every integer argument of the
-tower code, and every power's exponent, is rejected with TypeError when it is not an int (a bool is
-not) and with ValueError below its least value, and each message ends in
-"got <repr of the value>"."""
+tower code, and every power's exponent, is rejected with TypeError when
+it is not an int (a bool is not) and with ValueError below its least
+value, and each message ends in "got <repr of the value>"."""
 
 from fractions import Fraction
 

@@ -53,23 +53,30 @@ def _parse_fraction(text):
         raise CliError("bad rational %r" % (text,))
 
 
+# p, [+-]qr or p(+|-)qr, where r stands for sqrt(d) and q may be left out
+_QUADNUM = re.compile(
+    r"(?P<p>[+-]?\d+(?:/\d+)?(?=[+-]|$))?(?:(?P<sign>[+-]?)(?P<q>\d+(?:/\d+)?)?r)?")
+
+
 def _parse_quadnum(text, d):
-    """Parse 'p', 'qr', or 'p+qr' where r stands for sqrt(d), e.g.
-    '-432', '2160-2160r', '3/2+1/2r'."""
+    """Parse p + q*sqrt(d) written 'p', 'qr' or 'p+qr', with r for sqrt(d).
+
+    p and q are integers or fractions n/m.  A bare 'qr' is q*sqrt(d), so
+    '12r' is 12*sqrt(d), and a sign may lead it ('-12r'); after a rational
+    part the r term needs its sign ('2160-2160r').  q = 1 may be left out:
+    'r', '-r', '12+r'.  Spaces are ignored.
+    """
     text = text.strip().replace(" ", "")
-    m = re.fullmatch(
-        r"(?P<p>[+-]?\d+(?:/\d+)?)?(?:(?P<sign>[+-]?)(?P<q>\d+(?:/\d+)?)?r)?",
-        text,
-    )
-    if not m or (m.group("p") is None and not text.endswith("r")):
+    m = _QUADNUM.fullmatch(text)
+    if not text or not m:
         raise CliError("bad field element %r (use e.g. '2160-2160r')" % (text,))
     p = _parse_fraction(m.group("p")) if m.group("p") else Fraction(0)
-    if text.endswith("r"):
+    if m.group("sign") is None:  # no r term
+        q = Fraction(0)
+    else:
         q = _parse_fraction(m.group("q")) if m.group("q") else Fraction(1)
         if m.group("sign") == "-":
             q = -q
-    else:
-        q = Fraction(0)
     return quadfield.QuadNum(p, q, d)
 
 
@@ -86,10 +93,6 @@ def _parse_triple(text, n, flag):
     if len(values) != 3:
         raise CliError("%s must be %s, got %r" % (flag, form, text))
     return heisenberg.HeisenbergElement(n, *values)
-
-
-def _fraction_json(f):
-    return {"num": f.numerator, "den": f.denominator}
 
 
 def _emit(fmt, payload, text):
@@ -148,18 +151,20 @@ def build_parser():
 
     p = sub.add_parser("word", help="free-group word evaluation and lifting")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--eval", dest="eval_word", help="word like 'abAB' or 'a^3bA^2'")
-    p.add_argument("--kernel", help="word to test for kernel membership")
-    p.add_argument("--lift", choices=sorted(words.S3_ENDOS),
-                   help="test whether the endomorphism lifts")
-    p.add_argument("--nielsen", choices=sorted(words.S3_ENDOS),
-                   help="commutator conjugacy witness for the endomorphism")
+    mode = p.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--eval", dest="eval_word", help="word like 'abAB' or 'a^3bA^2'")
+    mode.add_argument("--kernel", help="word to test for kernel membership")
+    mode.add_argument("--lift", choices=sorted(words.S3_ENDOS),
+                      help="test whether the endomorphism lifts")
+    mode.add_argument("--nielsen", choices=sorted(words.S3_ENDOS),
+                      help="commutator conjugacy witness for the endomorphism")
     _add_common(p)
 
     p = sub.add_parser("genus", help="genus formulas and Riemann-Hurwitz")
-    p.add_argument("--fermat", type=int)
-    p.add_argument("--heisenberg", type=int)
-    p.add_argument("--rh", action="store_true")
+    mode = p.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--fermat", type=int)
+    mode.add_argument("--heisenberg", type=int)
+    mode.add_argument("--rh", action="store_true")
     p.add_argument("--base-genus", type=int, default=0)
     p.add_argument("--order", type=int)
     p.add_argument("--indices", help="comma-separated ramification indices")
@@ -247,7 +252,7 @@ def _run_word(args):
                            "T": str(conj), "sign": sign},
                   lambda: "T = %s, sign = %+d" % (conj, sign))
         return 0
-    if args.kernel:
+    if args.kernel is not None:
         w = words.Word.from_str(args.kernel)
         in_phi = words.in_heisenberg_kernel(w, n)
         in_psi = words.in_abelianized_kernel(w, n)
@@ -257,16 +262,14 @@ def _run_word(args):
               lambda: "heisenberg kernel: %s, abelianized kernel: %s"
               % (in_phi, in_psi))
         return 0
-    if args.eval_word:
-        w = words.Word.from_str(args.eval_word)
-        g = words.eval_in_heisenberg(w, n)
-        ab = words.eval_in_abelianization(w, n)
-        _emit(fmt,
-              lambda: {"word": str(w), "n": n, "heisenberg": [g.x, g.y, g.z],
-                       "abelianization": list(ab)},
-              lambda: "in H_n: %s; abelianized: %s" % (g, ab))
-        return 0
-    raise CliError("word requires one of --eval/--kernel/--lift/--nielsen")
+    w = words.Word.from_str(args.eval_word)  # --eval, the one mode left
+    g = words.eval_in_heisenberg(w, n)
+    ab = words.eval_in_abelianization(w, n)
+    _emit(fmt,
+          lambda: {"word": str(w), "n": n, "heisenberg": [g.x, g.y, g.z],
+                   "abelianization": list(ab)},
+          lambda: "in H_n: %s; abelianized: %s" % (g, ab))
+    return 0
 
 
 def _run_genus(args):
@@ -282,20 +285,19 @@ def _run_genus(args):
               lambda: {"curve": "heisenberg", "n": args.heisenberg, "genus": g},
               lambda: str(g))
         return 0
-    if args.rh:
-        if args.order is None:
-            raise CliError("--order is required for --rh")
-        indices = _parse_ints(
-            args.indices, "--indices",
-            "comma-separated integers") if args.indices else ()
-        data = covers.RamificationData(args.base_genus, args.order, indices)
-        g = covers.rh_genus(data)
-        _emit(fmt,
-              lambda: {"base_genus": args.base_genus, "order": args.order,
-                       "indices": list(indices), "genus": g},
-              lambda: str(g))
-        return 0
-    raise CliError("genus requires one of --fermat/--heisenberg/--rh")
+    # --rh, the one mode left
+    if args.order is None:
+        raise CliError("--order is required for --rh")
+    indices = _parse_ints(
+        args.indices, "--indices",
+        "comma-separated integers") if args.indices else ()
+    data = covers.RamificationData(args.base_genus, args.order, indices)
+    g = covers.rh_genus(data)
+    _emit(fmt,
+          lambda: {"base_genus": args.base_genus, "order": args.order,
+                   "indices": list(indices), "genus": g},
+          lambda: str(g))
+    return 0
 
 
 def _audit_line(v):

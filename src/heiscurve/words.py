@@ -283,48 +283,28 @@ def lifts_to_heisenberg_cover(endo, n):
     return True
 
 
-def _drop(syllable, k):
-    """The syllable with k of its letters removed."""
-    gen, exp = syllable
-    return (gen, exp - k if exp > 0 else exp + k)
-
-
 def commutator_conjugacy_witness(endo):
     """Unwind endo([a,b]) as T [a,b]^(+-1) T^-1, if possible.
 
-    Strips matched conjugating letters off both ends, a run of letters per
-    step, then matches the cyclically reduced core against rotations of
-    [a,b] and its inverse.  Returns (T, sign) with the verified witness, or
-    None.
+    The image is split as t c t^-1 with c cyclically reduced (the split of
+    ``Word.__pow__``).  Cyclically reduced conjugates in a free group are
+    cyclic permutations of each other (Lyndon-Schupp, Ch. I), and c is
+    empty, one syllable, or starts and ends on different generators, so
+    the image is conjugate to [a,b]^(+-1) exactly when c is one of the
+    eight rotations of abAB and baBA, each four one-letter syllables.  If
+    c = P^-1 base P with P the first k letters of base and Q the rest,
+    then P^-1 = Q base^-1, so t P^-1 and t Q conjugate base alike; the
+    shorter of P^-1 and Q is taken, which gives the shortest conjugator.
+    Returns (T, sign) with the verified witness, or None.
     """
     image = endo.apply(COMMUTATOR)
-    syl = image.syllables
-    i, j = 0, len(syl) - 1
-    left = right = 0  # letters stripped from syl[i] and from syl[j]
-    # while i < j the first and last letters lie in different syllables
-    # and are inverse when they share a generator with opposite signs
-    while i < j and syl[i][0] == syl[j][0] and (syl[i][1] > 0) != (syl[j][1] > 0):
-        k = min(abs(syl[i][1]) - left, abs(syl[j][1]) - right)
-        left += k
-        right += k
-        if left == abs(syl[i][1]):
-            i, left = i + 1, 0
-        if right == abs(syl[j][1]):
-            j, right = j - 1, 0
-    # T starts with the stripped letters: whole syllables, then the first
-    # `left` letters of syl[i]
-    outer = syl[:i] + ((_drop(syl[i], abs(syl[i][1]) - left),) if left else ())
-    middle = list(syl[i : j + 1])
-    if middle:
-        middle[0] = _drop(middle[0], left)
-        middle[-1] = _drop(middle[-1], right)
-    middle = tuple(middle)
+    t, core = _cyclic_split(image.syllables)
     for sign, base in ((1, COMMUTATOR), (-1, COMMUTATOR.inverse())):
-        core = base.syllables  # four single letters, so rotations stay reduced
-        for k in range(len(core)):
-            if middle == core[k:] + core[:k]:
-                # rotation by k conjugates by the first k letters of core
-                conj = _word(outer) * _word(core[:k]).inverse()
+        c = base.syllables
+        for k in range(len(c)):
+            if core == c[k:] + c[:k]:
+                rest = _word(c[:k]).inverse() if 2 * k <= len(c) else _word(c[k:])
+                conj = _word(t) * rest
                 if conj * base * conj.inverse() == image:
                     return conj, sign
     return None

@@ -12,6 +12,7 @@ import subprocess
 import sys
 import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -151,6 +152,17 @@ class TestWord:
         code, _, err = run(capsys, "word", "--n", "3")
         assert code == 1
 
+    @pytest.mark.parametrize("modes", (
+        ("--eval", "ab", "--lift", "i2"),
+        ("--kernel", "ab", "--nielsen", "i1"),
+        ("--lift", "i1", "--nielsen", "i2"),
+    ))
+    def test_two_modes_are_usage_error(self, capsys, modes):
+        code, out, err = run(capsys, "word", "--n", "3", *modes)
+        assert code == 1
+        assert out == ""
+        assert "not allowed with" in err
+
     def test_bad_word_syntax(self, capsys):
         code, _, err = run(capsys, "word", "--n", "3", "--eval", "xyz")
         assert code == 1
@@ -196,6 +208,16 @@ class TestGenus:
         assert out == ""
         assert "--indices" in err and "comma-separated integers" in err
         assert "invalid literal" not in err
+
+    @pytest.mark.parametrize("modes", (
+        ("--fermat", "5", "--heisenberg", "3"),
+        ("--heisenberg", "3", "--rh", "--order", "6"),
+    ))
+    def test_two_modes_are_usage_error(self, capsys, modes):
+        code, out, err = run(capsys, "genus", *modes)
+        assert code == 1
+        assert out == ""
+        assert "not allowed with" in err
 
     def test_rh_non_integer_is_math_error(self, capsys):
         code, _, err = run(
@@ -357,6 +379,31 @@ class TestCurveCommands:
     def test_bad_field_element_is_usage_error(self, capsys):
         code, _, err = run(capsys, "j", "--A", "nonsense", "--B", "1")
         assert code == 1
+
+    @pytest.mark.parametrize("text, p, q", (
+        ("12r", 0, 12), ("-12r", 0, -12), ("1/2r", 0, "1/2"),
+        ("r", 0, 1), ("-r", 0, -1), ("+r", 0, 1),
+        ("12+r", 12, 1), ("3/2+1/2r", "3/2", "1/2"),
+        ("2160-2160r", 2160, -2160), ("-432", -432, 0),
+    ))
+    def test_field_element_syntax(self, text, p, q):
+        value = cli._parse_quadnum(text, -7)
+        assert (value.p, value.q, value.d) == (Fraction(p), Fraction(q), -7)
+
+    @pytest.mark.parametrize("text", ("12rr", "r12", "+-3r", "1/0r", ""))
+    def test_malformed_field_element_is_usage_error(self, capsys, text):
+        code, out, err = run(capsys, "j", "--A=" + text, "--B", "1")
+        assert code == 1
+        assert out == ""
+        assert "Traceback" not in err
+
+    def test_bare_sqrt_term_is_a_multiple_of_sqrt_d(self, capsys):
+        # (0, 12 sqrt(-3)) is on y^2 = x^3 - 432
+        bare = run(capsys, "isogeny", "--A", "0", "--B", "-432",
+                   "--x", "0", "--y", "12r")
+        assert bare == run(capsys, "isogeny", "--A", "0", "--B", "-432",
+                           "--x", "0", "--y", "0+12r")
+        assert bare == (0, "y^2 = x^3 + (11664)\n", "")
 
 
 # The benchmark's worker counts a HeiscurveError as a failed job and lets

@@ -452,8 +452,16 @@ def oracle_witness(endo):
     return None
 
 
-def witness_key(witness):
-    return None if witness is None else (witness[0].syllables, witness[1])
+def assert_same_witness(witness, oracle):
+    """Both None, or the same sign and conjugators in the same coset
+    T <[a,b]>: the oracle's T^-1 T is a power of [a,b]."""
+    assert (witness is None) == (oracle is None)
+    if witness is None:
+        return
+    assert witness[1] == oracle[1]
+    quotient = oracle[0].inverse() * witness[0]
+    m = quotient.length() // 4
+    assert quotient in (COMMUTATOR**m, COMMUTATOR**-m)
 
 
 def composed_endo(sequence):
@@ -478,23 +486,47 @@ class TestWitnessAgainstOracle:
         endo = conjugated(composed_endo(sequence), t)
         witness = commutator_conjugacy_witness(endo)
         assert witness is not None
-        assert witness_key(witness) == witness_key(oracle_witness(endo))
+        assert_same_witness(witness, oracle_witness(endo))
 
     @settings(max_examples=150, deadline=None)
     @given(any_words, any_words)
     def test_arbitrary_endomorphisms(self, u, v):
         endo = Endo(u, v)
-        assert witness_key(commutator_conjugacy_witness(endo)) == witness_key(
-            oracle_witness(endo))
+        assert_same_witness(commutator_conjugacy_witness(endo), oracle_witness(endo))
 
     @pytest.mark.parametrize("name", sorted(S3_ENDOS))
     def test_six_symmetries(self, name):
         endo = S3_ENDOS[name]
-        assert witness_key(commutator_conjugacy_witness(endo)) == witness_key(
-            oracle_witness(endo))
+        assert_same_witness(commutator_conjugacy_witness(endo), oracle_witness(endo))
 
     def test_trivial_image(self):
         assert commutator_conjugacy_witness(Endo(A, A)) is None
+
+
+class TestShortestWitness:
+    @settings(max_examples=150, deadline=None)
+    @given(involution_sequences, any_words)
+    def test_witness_conjugates_to_the_image(self, sequence, t):
+        endo = conjugated(composed_endo(sequence), t)
+        conj, sign = commutator_conjugacy_witness(endo)
+        assert conj * COMMUTATOR**sign * conj.inverse() == endo.apply(COMMUTATOR)
+
+    @settings(max_examples=150, deadline=None)
+    @given(involution_sequences, any_words)
+    def test_no_shorter_conjugator_nearby(self, sequence, t):
+        # the conjugators of [a,b]^(+-1) are the coset T <[a,b]>
+        conj, _ = commutator_conjugacy_witness(conjugated(composed_endo(sequence), t))
+        for k in (-2, -1, 1, 2):
+            assert conj.length() <= (conj * COMMUTATOR**k).length()
+
+    def test_flip_squared_is_conjugation_by_b_inverse(self):
+        # the letter-by-letter search returns aBA
+        assert commutator_conjugacy_witness(FLIP.compose(FLIP)) == (Word.from_str("B"), 1)
+
+    def test_conjugation_by_b_squared(self):
+        # a -> b^-2 a b^2, b -> b; the letter-by-letter search returns BaBA
+        endo = Endo(Word.from_str("B^2ab^2"), B)
+        assert commutator_conjugacy_witness(endo) == (Word.from_str("B^2"), 1)
 
 
 class TestCost:

@@ -165,7 +165,7 @@ def build_parser():
     mode.add_argument("--fermat", type=int)
     mode.add_argument("--heisenberg", type=int)
     mode.add_argument("--rh", action="store_true")
-    p.add_argument("--base-genus", type=int, default=0)
+    p.add_argument("--base-genus", type=int, help="for --rh (default 0)")
     p.add_argument("--order", type=int)
     p.add_argument("--indices", help="comma-separated ramification indices")
     _add_common(p)
@@ -201,8 +201,28 @@ def build_parser():
     return parser
 
 
+def _reject_unread(args, dests, mode):
+    """A usage error naming each flag of dests that was given, as mode
+    does not read it."""
+    given = ["--" + dest.replace("_", "-") for dest in dests
+             if getattr(args, dest) is not None]
+    if given:
+        raise CliError("%s does not read %s" % (mode, ", ".join(given)))
+
+
+# the flags of `group` that each op leaves unread
+_GROUP_UNREAD = {
+    "mul": ("exp",),
+    "pow": ("other",),
+    "order": ("other", "exp"),
+    "abelianize": ("other", "exp"),
+    "enumerate": ("element", "other", "exp"),
+}
+
+
 def _run_group(args):
     n, fmt = args.n, args.format
+    _reject_unread(args, _GROUP_UNREAD[args.op], "--op " + args.op)
     if args.op == "enumerate":
         _stream(fmt, heisenberg.enumerate_group(n), str,
                 lambda g: [g.x, g.y, g.z], head={"n": n, "count": n**3})
@@ -274,6 +294,9 @@ def _run_word(args):
 
 def _run_genus(args):
     fmt = args.format
+    if not args.rh:
+        _reject_unread(args, ("base_genus", "order", "indices"),
+                       "--fermat" if args.fermat is not None else "--heisenberg")
     if args.fermat is not None:
         g = covers.fermat_genus(args.fermat)
         _emit(fmt, lambda: {"curve": "fermat", "n": args.fermat, "genus": g},
@@ -291,10 +314,11 @@ def _run_genus(args):
     indices = _parse_ints(
         args.indices, "--indices",
         "comma-separated integers") if args.indices else ()
-    data = covers.RamificationData(args.base_genus, args.order, indices)
+    base_genus = 0 if args.base_genus is None else args.base_genus
+    data = covers.RamificationData(base_genus, args.order, indices)
     g = covers.rh_genus(data)
     _emit(fmt,
-          lambda: {"base_genus": args.base_genus, "order": args.order,
+          lambda: {"base_genus": base_genus, "order": args.order,
                    "indices": list(indices), "genus": g},
           lambda: str(g))
     return 0

@@ -168,8 +168,15 @@ class CoverRamification:
     n: int
     unramified: bool
     index: int
-    branched_fermat_points: tuple
+    branched_family: str | None  # family of the branched cusps, if any
     points_above: int  # total points of the cover on the ramified fibers
+
+    @property
+    def branched_fermat_points(self):
+        """The n branched cusps, built when asked."""
+        if self.branched_family is None:
+            return ()
+        return tuple(PointClass(self.branched_family, k) for k in range(self.n))
 
     def describe(self):
         if self.unramified:
@@ -177,12 +184,8 @@ class CoverRamification:
         return (
             "%d points above infinity ramified with index %d "
             "(%d branched cusps, %d points each)"
-            % (
-                self.points_above,
-                self.index,
-                len(self.branched_fermat_points),
-                self.points_above // len(self.branched_fermat_points),
-            )
+            % (self.points_above, self.index, self.n,
+               self.points_above // self.n)
         )
 
 
@@ -200,9 +203,8 @@ def cover_ramification(n):
     for family, (u, v) in _STABILIZER_GENERATORS.items():
         order = HeisenbergElement(n, u, v, 0).order()
         if order > n:
-            cusps = tuple(PointClass(family, k) for k in range(n))
-            return CoverRamification(n, False, order // n, cusps, n**3 // order)
-    return CoverRamification(n, True, 1, (), 0)
+            return CoverRamification(n, False, order // n, family, n**3 // order)
+    return CoverRamification(n, True, 1, None, 0)
 
 
 def modular_aut_order(n):

@@ -38,8 +38,6 @@ from .quadfield import (
     _ZERO,
     _quad,
     find_field_roots,
-    poly_eval,
-    zeta3,
 )
 
 
@@ -276,6 +274,22 @@ def _psi3_parts(curve):
             [-s1 * mb, 12 * b1 * ma2, 6 * a1 * ma * mb, 0, 0])
 
 
+def _psi3_vanishes(curve, x):
+    """Whether psi_3(x) = 0, decided on _psi3_parts in integers: with
+    x = (x0 + x1 sqrt d)/m, Horner's rule gives m^4 mA^2 mB psi_3(x) as
+    an integer pair, zero exactly when psi_3(x) is, as m, mA, mB > 0."""
+    x0, x1, m = x._ints()
+    P, Q = _psi3_parts(curve)
+    d = curve.d
+    a0, a1, scale = P[4], Q[4], 1
+    for i in (3, 2, 1, 0):
+        scale *= m
+        a0, a1 = _pair_mul(a0, a1, x0, x1, d)
+        a0 += P[i] * scale
+        a1 += Q[i] * scale
+    return a0 == 0 and a1 == 0
+
+
 def division_poly_3(curve):
     """Coefficients (low first) of 3x^4 + 6Ax^2 + 12Bx - A^2, read off
     _psi3_parts with no field operation."""
@@ -323,7 +337,7 @@ def _velu3(curve, p):
     u = 4 y0^2 and w = u + x0 t."""
     if p.at_infinity:
         raise BadKernelPoint("kernel generator must be affine")
-    if not poly_eval(division_poly_3(curve), p.x).is_zero():
+    if not _psi3_vanishes(curve, p.x):
         raise BadKernelPoint("%s is not a 3-torsion point" % (p,))
     t = 2 * (3 * p.x * p.x + curve.A)
     u = 4 * p.y * p.y

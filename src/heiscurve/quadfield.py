@@ -1,8 +1,8 @@
 """Exact arithmetic in an imaginary quadratic field Q(sqrt(d)).
 
 A number is p + q*sqrt(d) with p, q reduced fractions and d any negative
-integer (default -3, whose ring contains the primitive cube root of unity
-needed downstream).  Real quadratic fields are rejected: the square-root
+integer (default -3, the field of the primitive cube root of unity
+zeta3).  Real quadratic fields are rejected: the square-root
 case analysis below relies on the norm p^2 - d q^2 being a sum of positive
 terms.  Square and cube roots of an element are found in closed form from
 its norm and trace.

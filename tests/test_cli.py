@@ -226,6 +226,40 @@ class TestGenus:
         assert "math error" in err
 
 
+class TestUnreadFlags:
+    """A flag that the chosen mode does not read is a usage error that
+    names it, not silently dropped."""
+
+    @pytest.mark.parametrize("argv, flags", [
+        ("group --n 5 --op order --element 1,2,3 --exp 4 --other 1,1,1",
+         ("--exp", "--other")),
+        ("group --n 5 --op enumerate --element 1,2,3", ("--element",)),
+        ("group --n 5 --op enumerate --exp 2", ("--exp",)),
+        ("group --n 5 --op mul --element 1,2,3 --other 1,1,1 --exp 2", ("--exp",)),
+        ("group --n 5 --op pow --element 1,2,3 --exp 2 --other 1,1,1", ("--other",)),
+        ("group --n 5 --op abelianize --element 1,2,3 --other 1,1,1", ("--other",)),
+        ("genus --fermat 5 --order 6 --indices 2,3", ("--order", "--indices")),
+        ("genus --heisenberg 5 --base-genus 3", ("--base-genus",)),
+        ("genus --heisenberg 5 --base-genus 0", ("--base-genus",)),
+    ])
+    def test_unread_flag_is_usage_error(self, argv, flags):
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(argv.split())
+        assert code == 1
+        assert out.getvalue() == ""
+        assert "Traceback" not in err.getvalue()
+        assert err.getvalue().startswith("error: ")
+        assert all(flag in err.getvalue() for flag in flags)
+
+    def test_rh_reads_base_genus_as_0_by_default(self, capsys):
+        argv = ("genus", "--rh", "--order", "750", "--indices", "2,3,10")
+        assert run_json(capsys, *argv) == run_json(
+            capsys, *argv, "--base-genus", "0")
+        code, payload = run_json(capsys, *argv, "--base-genus", "1")
+        assert (code, payload["base_genus"], payload["genus"]) == (0, 1, 776)
+
+
 class TestAudit:
     def test_exit_code_flags_known_inconsistencies(self, capsys):
         code, out, _ = run(capsys, "audit")

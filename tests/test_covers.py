@@ -253,13 +253,28 @@ class TestCoverRamification:
         n/2 points, all with ramification index 2."""
         for n in range(2, 201):
             if n % 2 == 1:
-                expected = CoverRamification(n, True, 1, (), 0)
+                expected = CoverRamification(n, True, 1, None, 0)
+                cusps = ()
             else:
+                expected = CoverRamification(n, False, 2, "Qprime", n * n // 2)
                 cusps = tuple(PointClass("Qprime", k) for k in range(n))
-                expected = CoverRamification(n, False, 2, cusps, n * n // 2)
             ram = cover_ramification(n)
             assert ram == expected, n
+            assert ram.branched_fermat_points == cusps, n
             assert ram.describe() == expected.describe(), n
+
+    def test_large_n_builds_no_cusp(self, monkeypatch):
+        def no_point_class(self):
+            raise AssertionError("PointClass built")
+
+        monkeypatch.setattr(PointClass, "__post_init__", no_point_class)
+        ram = cover_ramification(10**6)
+        assert ram.branched_family == "Qprime"
+        assert ram.describe() == (
+            "500000000000 points above infinity ramified with index 2 "
+            "(1000000 branched cusps, 500000 points each)")
+        with pytest.raises(AssertionError, match="PointClass built"):
+            ram.branched_fermat_points
 
 
 class TestModularAutOrder:

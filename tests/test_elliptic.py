@@ -37,6 +37,7 @@ from heiscurve.quadfield import (
     QuadNum,
     UnsupportedFactorization,
     find_field_roots,
+    poly_eval,
     zeta3,
 )
 
@@ -904,7 +905,6 @@ class TestThreeTorsion:
             return real(coeffs, x)
 
         monkeypatch.setattr(quadfield, "poly_eval", counting)
-        monkeypatch.setattr(elliptic, "poly_eval", counting)
         planted = Curve.of(1, Fraction(-2, 3))
         for curve in (BASE, Curve.of(0, 16), planted):
             three_torsion(curve)
@@ -1088,18 +1088,133 @@ class TestVelu3:
 
     def test_map_checks_the_kernel_once(self, monkeypatch):
         calls = []
-        real = elliptic.poly_eval
+        real = elliptic._psi3_parts
 
-        def counting(coeffs, x):
-            calls.append(x)
-            return real(coeffs, x)
+        def counting(curve):
+            calls.append(curve)
+            return real(curve)
 
         kernel_gen = BASE.point(quad(0), quad(0, 12))
         codomain = velu3(BASE, kernel_gen)
-        monkeypatch.setattr(elliptic, "poly_eval", counting)
+        monkeypatch.setattr(elliptic, "_psi3_parts", counting)
         image = velu3_map(BASE, kernel_gen, BASE.point(quad(12), quad(36)))
         assert image.curve == codomain
-        assert calls == [kernel_gen.x]
+        assert calls == [BASE]
+
+    def test_point_of_order_6_keeps_the_message(self):
+        curve = Curve.of(0, 1)
+        with pytest.raises(BadKernelPoint,
+                           match=r"^\(2 : 3 : 1\) is not a 3-torsion point$"):
+            velu3(curve, curve.point(2, 3))
+
+    def test_fermat_kernel_makes_8_field_operations(self, field_ops):
+        # the kernel check is in integers; t, u and the codomain are not
+        kernel_gen = BASE.point(quad(0), quad(0, 12))
+        field_ops.calls.clear()
+        assert velu3(BASE, kernel_gen) == ROW_CURVES[0]
+        assert len(field_ops.calls) == 8
+
+
+def oracle_psi3_vanishes(curve, x):
+    return poly_eval(division_poly_3(curve), x).is_zero()
+
+
+def c3_codomain_torsion_xs():
+    """(codomain, x) for the x-coordinates of 3-torsion on each c3 row:
+    the x_roots of three_torsion where it returns, and the images of the
+    base curve's 3-torsion, which the isogeny sends to 3-torsion."""
+    base_torsion = three_torsion(BASE).points
+    out = []
+    for row in derive_isogenous_curves().rows:
+        xs = set()
+        try:
+            xs.update(three_torsion(row.codomain).x_roots)
+        except UnsupportedFactorization:
+            pass
+        kernel_gen = next(p for p in base_torsion
+                          if velu3(BASE, p) == row.codomain)
+        for q in base_torsion:
+            image = velu3_map(BASE, kernel_gen, q)
+            if not image.at_infinity:
+                xs.add(image.x)
+        out.extend((row.codomain, x) for x in sorted(xs, key=repr))
+    return out
+
+
+def planted_psi3_roots():
+    """(curve, x0) at d = -3 and -1000003, B chosen so that psi_3(x0) = 0."""
+    out = []
+    for d in (-3, -1000003):
+        for a, x0 in (((1, 0), (Fraction(2, 3), 0)), ((0, Fraction(5, 7)), (-4, 0)),
+                      ((1, 0), (Fraction(2, 3), 1)),
+                      ((Fraction(-9, 2), 3), (Fraction(1, 5), Fraction(-2, 11)))):
+            A, x0 = QuadNum(*a, d), QuadNum(*x0, d)
+            B = (A * A - 3 * x0**4 - 6 * A * x0 * x0) / (12 * x0)
+            out.append((Curve(A, B), x0))
+    return out
+
+
+def psi3_roots(curve):
+    """The x_roots of three_torsion, or [] when it raises."""
+    try:
+        return list(three_torsion(curve).x_roots)
+    except UnsupportedFactorization:
+        return []
+
+
+@st.composite
+def psi3_arguments(draw):
+    """(curve, x) over Q(sqrt d), with denominators up to 10^6: a random
+    curve, or one with psi_3(x0) = 0 planted, and x = x0 or x0 moved by a
+    unit or by sqrt d."""
+    d = draw(st.sampled_from(PSI3_FIELDS))
+    A, x0 = draw(wide_field_elems(d)), draw(wide_field_elems(d))
+    if draw(st.booleans()) and not x0.is_zero():
+        B = (A * A - 3 * x0**4 - 6 * A * x0 * x0) / (12 * x0)
+    else:
+        B = draw(wide_field_elems(d))
+    try:
+        curve = Curve(A, B)
+    except SingularCurve:
+        assume(False)
+    root = QuadNum.root(d)
+    x = x0 + draw(st.sampled_from([0, 0, 1, -1, root, Fraction(1, 7)]))
+    return curve, x
+
+
+class TestPsi3Vanishes:
+    """elliptic._psi3_vanishes, the kernel check of velu3, against the
+    field evaluation of division_poly_3."""
+
+    def test_true_on_the_c3_codomain_torsion(self):
+        cases = c3_codomain_torsion_xs()
+        assert {curve for curve, _ in cases} == set(ROW_CURVES)
+        for curve, x in cases:
+            assert oracle_psi3_vanishes(curve, x)
+            assert elliptic._psi3_vanishes(curve, x)
+
+    @pytest.mark.parametrize("curve, x0", planted_psi3_roots(), ids=str)
+    def test_true_on_planted_roots(self, curve, x0):
+        for x in [x0, *psi3_roots(curve)]:
+            assert oracle_psi3_vanishes(curve, x)
+            assert elliptic._psi3_vanishes(curve, x)
+
+    @pytest.mark.parametrize("curve, roots", [
+        *((c, [x]) for c, x in c3_codomain_torsion_xs()),
+        *((c, [x0, *psi3_roots(c)]) for c, x0 in planted_psi3_roots()),
+    ], ids=lambda v: ", ".join(map(str, v)) if isinstance(v, list) else str(v))
+    def test_false_on_near_misses(self, curve, roots):
+        root = QuadNum.root(curve.d)
+        for x in roots:
+            for miss in (x + Fraction(1, 7), x + root / 3, x - Fraction(1, 10**6)):
+                assert not oracle_psi3_vanishes(curve, miss)
+                assert not elliptic._psi3_vanishes(curve, miss)
+
+    @settings(max_examples=300, deadline=None)
+    @given(psi3_arguments())
+    def test_matches_the_field_evaluation(self, curve_x):
+        curve, x = curve_x
+        assert elliptic._psi3_vanishes(curve, x) == oracle_psi3_vanishes(curve, x)
 
 
 class TestClassification:

@@ -25,7 +25,7 @@ from fractions import Fraction
 from itertools import islice
 
 from . import covers, elliptic, heisenberg, quadfield, words
-from .errors import HeiscurveError
+from .errors import HeiscurveError, _int_at_least
 
 USAGE_ERROR = 1
 MATH_ERROR = 2
@@ -253,6 +253,7 @@ def _run_group(args):
 
 def _run_word(args):
     n, fmt = args.n, args.format
+    _int_at_least(n, 1)  # for every mode, --nielsen too, which reads no n
     if args.lift:
         endo = words.S3_ENDOS[args.lift]
         lifts = words.lifts_to_heisenberg_cover(endo, n)

@@ -44,7 +44,12 @@ class RamificationData:
     indices: tuple = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "indices", tuple(self.indices))
+        try:
+            indices = tuple(self.indices)
+        except TypeError:
+            raise TypeError("indices must be an iterable of ints, got %r"
+                            % (self.indices,)) from None
+        object.__setattr__(self, "indices", indices)
         _int_at_least(self.base_genus, 0, "base_genus")
         _int_at_least(self.group_order, 1, "group_order")
         for e in self.indices:
@@ -380,7 +385,11 @@ def _compose_perms(s, t):
 
 
 def symmetry_action(perm, pair, n):
-    """Image of the translation pair (i, j) under conjugation by perm."""
+    """Image of the translation pair (i, j) under conjugation by perm;
+    n must be an int (not a bool) >= 1."""
+    # the inline test keeps verify_axioms fast; the check words the error
+    if type(n) is not int or n < 1:
+        _int_at_least(n, 1)
     v = (pair[0], pair[1], 0)
     w = tuple(v[perm[i]] for i in range(3))
     return ((w[0] - w[2]) % n, (w[1] - w[2]) % n)
@@ -399,6 +408,9 @@ class FermatAutGroup:
     """The order-6n^2 automorphism group, elements ((i, j), perm)."""
 
     n: int
+
+    def __post_init__(self):
+        _int_at_least(self.n, 3)
 
     @property
     def order(self):
@@ -478,7 +490,6 @@ class FermatAutGroup:
 
 def build_fermat_aut(n, verify=True):
     """Construct the group; verify=True (the default) checks its axioms."""
-    _int_at_least(n, 3)
     group = FermatAutGroup(n)
     if verify:
         group.verify_axioms()

@@ -452,7 +452,12 @@ class Cubic:
 
     def __post_init__(self):
         cleaned = {}
-        for mono, c in self.coeffs:
+        for term in self.coeffs:
+            try:
+                mono, c = term
+            except (TypeError, ValueError):
+                raise TypeError("a term must be a (monomial, coefficient) pair, "
+                                "got %r" % (term,)) from None
             # a tuple of ints is hashable, so the set lookup cannot raise
             if (type(mono) is not tuple or any(type(e) is not int for e in mono)
                     or mono not in _MONOMIALS):

@@ -15,14 +15,17 @@ d = -3.
 Also provides root finding for polynomials of degree <= 4 with coefficients
 in the field, by a p-adic rational-root search (Hensel lifting) plus
 explicit quadratic-formula solving; rational quartics without linear
-factors go through the resolvent cubic.  A polynomial, psi_3 of a curve
-among them, is cleared once to integer lists P + Q sqrt(d), with one lcm
-for all denominators.  It has the rational root r exactly when
-P(r) = Q(r) = 0, so candidates come from one part and the multiplicity of
-each is found in integers, by exact division of both parts.  Only the
-deflation and the quadratic and quartic steps work on the field
-polynomial.  Quartics that do not split into factors of degree <= 2 over
-the field raise UnsupportedFactorization.
+factors go through the rational roots of their resolvent cubic, and get a
+complete answer whenever it has one (the rational j = 1728 curves
+y^2 = x^3 + A x among them).  A polynomial, psi_3 of a curve among them,
+is cleared once to integer lists P + Q sqrt(d), with one lcm for all
+denominators.  It has the rational root r exactly when P(r) = Q(r) = 0, so
+candidates come from one part and the multiplicity of each is found in
+integers, by exact division of both parts.  Only the deflation and the
+quadratic and quartic steps work on the field polynomial.  Two inputs
+raise UnsupportedFactorization: an irrational-coefficient polynomial left
+with degree >= 3 after its rational roots, and a rational quartic whose
+resolvent cubic has no rational root.
 """
 
 from __future__ import annotations
@@ -48,7 +51,8 @@ class NotASquare(ArithmeticError, HeiscurveError):
 
 
 class UnsupportedFactorization(ArithmeticError, HeiscurveError):
-    """Polynomial does not visibly split into degree <= 2 factors."""
+    """The root finder cannot decide which roots of the polynomial lie in
+    the field (see find_field_roots)."""
 
 
 class FieldMismatch(ValueError):
@@ -265,7 +269,7 @@ class QuadNum:
 
         m = N(c) is the rational cube root of N(self), and t = c + conj(c)
         is a rational root of T^3 - 3mT - 2p (p the rational part of self),
-        so c = (t +- sqrt(t^2 - 4m))/2.  Each candidate is kept only if its
+        so c is a root of x^2 - t x + m.  Each candidate is kept only if its
         cube is self.
         """
         if self.is_zero():
@@ -277,13 +281,12 @@ class QuadNum:
         traces = _rational_roots(_cleared([-2 * self.p, -3 * m, 0, 1]))
         if self.p == 0:  # _rational_roots leaves out the root t = 0
             traces.append(_ZERO)
+        d = self.d
         roots = []
         for t in traces:
-            try:
-                s = _quad(t * t - 4 * m, _ZERO, self.d).sqrt()
-            except NotASquare:
-                continue
-            for c in ((t + s) / 2, (t - s) / 2):
+            cs, _ = _solve_quadratic([_quad(m, _ZERO, d), _quad(-t, _ZERO, d),
+                                      _quad(_ONE, _ZERO, d)])
+            for c in cs:
                 if c not in roots and c**3 == self:
                     roots.append(c)
         return sorted(roots, key=lambda c: not c.is_rational())
@@ -532,7 +535,7 @@ def _rational_roots(coeffs):
     return sorted(roots, key=lambda r: (abs(r.numerator), r.denominator, r < 0))
 
 
-def _solve_quadratic(coeffs, d):
+def _solve_quadratic(coeffs):
     """Roots of c0 + c1 x + c2 x^2 inside the field; returns (roots, outside)."""
     c0, c1, c2 = coeffs
     disc = c1 * c1 - 4 * c2 * c0
@@ -544,55 +547,58 @@ def _solve_quadratic(coeffs, d):
     return [(-c1 + s) / two_a, (-c1 - s) / two_a], 0
 
 
-def _split_rational_quartic(coeffs, d):
-    """Split a monic rational quartic with no rational roots into two
-    quadratics with coefficients in the field, via the resolvent cubic."""
-    c0, c1, c2, c3 = (c.p for c in coeffs[:4])  # monic: coeffs[4] == 1
-    # depress: x = y - c3/4
+def _rational_quartic_roots(coeffs, d):
+    """Roots in the field, and the outside count, of a rational quartic
+    (Fractions, low degree first) with no rational root.
+
+    Depressed by x = y - c3/4 to y^4 + p y^2 + q y + r, the quartic is
+    (y^2 + s y + t)(y^2 - s y + u) exactly when z = s^2 is a root of the
+    resolvent z^3 + 2p z^2 + (p^2 - 4r) z - q^2, with
+    2t = p + z - w and 2u = p + z + w, where w = q/s, or for z = 0 (which
+    needs q = 0) a square root of p^2 - 4r.  The rational roots z are
+    tried in turn, z = 0 first, and the first with s and w in the field
+    gives the factors.  A root in the field has a rational quadratic
+    minimal polynomial, which gives such a split with a rational z, so
+    when none splits no root lies in the field.
+    """
+    c0, c1, c2, c3 = (c / coeffs[4] for c in coeffs[:4])
     shift = c3 / 4
     p = c2 - 6 * shift**2
     q = c1 - 2 * c2 * shift + 8 * shift**3
     r = c0 - c1 * shift + c2 * shift**2 - 3 * shift**4
-    pairs = []
-    if q == 0:
-        ts, outside = _solve_quadratic(
-            [QuadNum.of(r, d), QuadNum.of(p, d), QuadNum.of(1, d)], d)
-        if not ts:
-            raise UnsupportedFactorization("biquadratic resolvent does not split")
-        for t in ts:
-            pairs.append((QuadNum.of(0, d), -t))  # y^2 - t
-        quadratics = [[c, b, QuadNum.of(1, d)] for b, c in pairs]
-    else:
-        zs = _rational_roots(_cleared([-q * q, p * p - 4 * r, 2 * p, 1]))
-        if not zs:
-            raise UnsupportedFactorization("resolvent cubic has no rational root")
-        z = QuadNum.of(zs[0], d)
+    zs = _rational_roots(_cleared([-q * q, p * p - 4 * r, 2 * p, 1]))
+    if q == 0:  # _rational_roots leaves out the root z = 0
+        zs.insert(0, _ZERO)
+    if not zs:
+        raise UnsupportedFactorization("resolvent cubic has no rational root")
+    one = _quad(_ONE, _ZERO, d)
+    for z in zs:
         try:
-            s = z.sqrt()
+            if z:
+                s = _quad(z, _ZERO, d).sqrt()
+                w = q / s
+            else:
+                s = _quad(_ZERO, _ZERO, d)
+                w = _quad(p * p - 4 * r, _ZERO, d).sqrt()
         except NotASquare:
-            raise UnsupportedFactorization("resolvent root is not a square")
-        qn = QuadNum.of(q, d)
-        pn = QuadNum.of(p, d)
-        t = (pn + z - qn / s) / 2
-        u = (pn + z + qn / s) / 2
-        quadratics = [
-            [t, s, QuadNum.of(1, d)],
-            [u, -s, QuadNum.of(1, d)],
-        ]
-    # undo the depression: y = x + shift
-    shifted = []
-    sh = QuadNum.of(shift, d)
-    for c, b, a in quadratics:
-        shifted.append([c + b * sh + sh * sh, b + 2 * sh, a])
-    return shifted
+            continue
+        roots, outside = [], 0
+        for b, c in ((s, (p + z - w) / 2), (-s, (p + z + w) / 2)):
+            ys, out = _solve_quadratic([c, b, one])
+            roots.extend(y - shift for y in ys)
+            outside += out
+        return roots, outside
+    return [], 4
 
 
 def find_field_roots(coeffs, d=DEFAULT_D):
     """All roots (with multiplicity) in Q(sqrt d) of a degree <= 4 poly.
 
     Returns (roots, outside) where outside counts roots provably lying
-    outside the field.  Raises UnsupportedFactorization when the polynomial
-    cannot be split into degree <= 2 factors over the field.
+    outside the field.  Raises UnsupportedFactorization for degree > 4, for
+    an irrational-coefficient polynomial left with degree >= 3 after its
+    rational roots, and for a rational quartic whose resolvent cubic has no
+    rational root.
     """
     poly = poly_normalize(coeffs, d)
     if len(poly) < 2:
@@ -631,15 +637,11 @@ def find_field_roots(coeffs, d=DEFAULT_D):
             # hence no root in a quadratic extension either
             outside += 3
         else:
-            lead = poly[-1]
-            monic = [c / lead for c in poly]
-            for quad in _split_rational_quartic(monic, d):
-                sub_roots, sub_outside = _solve_quadratic(quad, d)
-                roots.extend(sub_roots)
-                outside += sub_outside
+            quartic_roots, outside = _rational_quartic_roots([c.p for c in poly], d)
+            roots.extend(quartic_roots)
         poly = []
     if len(poly) == 3:
-        sub_roots, sub_outside = _solve_quadratic(poly, d)
+        sub_roots, sub_outside = _solve_quadratic(poly)
         roots.extend(sub_roots)
         outside += sub_outside
     elif len(poly) == 2:

@@ -39,7 +39,11 @@ def _reduce(syllables):
     """
     stack = []
     for syllable in syllables:
-        gen, exp = syllable
+        try:
+            gen, exp = syllable
+        except (TypeError, ValueError):
+            raise TypeError("a syllable must be a (generator, exponent) pair, "
+                            "got %r" % (syllable,)) from None
         if gen not in GENERATORS:
             raise ValueError("unknown generator %r" % (gen,))
         if type(exp) is not int:
@@ -254,7 +258,9 @@ S3_ENDOS = {
 
 
 def heisenberg_kernel_generators(n):
-    """The classical generating set a^n, b^n, [a,b]^n."""
+    """The classical generating set a^n, b^n, [a,b]^n; n must be an int
+    (not a bool) >= 1."""
+    _int_at_least(n, 1)
     return (A**n, B**n, COMMUTATOR**n)
 
 

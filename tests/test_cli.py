@@ -386,6 +386,11 @@ class TestCurveCommands:
         assert len(payload["points"]) == 8
         assert payload["count_with_identity"] == 9
 
+    def test_torsion_of_a_j_1728_curve(self, capsys):
+        code, out, err = run(capsys, "torsion", "--A", "1", "--B", "0")
+        assert (code, err) == (0, "")
+        assert out.splitlines()[0] == "(no field-rational points)"
+
     def test_isogeny_golden_row(self, capsys):
         code, payload = run_json(
             capsys, "isogeny", "--A", "0", "--B", "-432",
@@ -519,6 +524,10 @@ class TestJsonErrors:
          "expected exactly one"),
         (("genus", "--heisenberg", "1"), 1, "ValueError",
          "n must be >= 2, got 1"),
+        (("word", "--n", "0", "--nielsen", "i2"), 1, "ValueError",
+         "n must be >= 1, got 0"),
+        (("word", "--n", "-5", "--nielsen", "id"), 1, "ValueError",
+         "n must be >= 1, got -5"),
     ])
     def test_error_payload(self, capsys, argv, code, error, message):
         got, out, err = run(capsys, *argv, "--format", "json")

@@ -894,6 +894,16 @@ class TestThreeTorsion:
                                                       (quad(0), quad(-m))}
         assert torsion.missing_y == 0 and torsion.missing_x == 3
 
+    @pytest.mark.parametrize("d", (-3, -1, -1000003))
+    def test_rational_j_1728_curves_have_no_3_torsion_x_in_the_field(self, d):
+        # y^2 = x^3 + A x has psi_3 = 3x^4 + 6A x^2 - A^2: its resolvent's
+        # one rational root z = 0 asks for sqrt(16 A^2 / 3), never in an
+        # imaginary quadratic field, so all four x lie outside
+        for a in [k for k in range(-12, 13) if k]:
+            torsion = three_torsion(Curve.of(a, 0, d))
+            assert torsion.points == () and torsion.x_roots == ()
+            assert torsion.missing_y == 0 and torsion.missing_x == 4
+
     def test_rational_curve_makes_no_field_evaluation(self, monkeypatch):
         # the rational roots of psi_3 and their multiplicity are decided in
         # integers; y^2 = x^3 + x - 2/3 has psi_3(1) = 0 planted

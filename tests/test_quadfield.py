@@ -614,10 +614,52 @@ class TestRootFinding:
         assert set(roots) == {s, quad(1)}
 
     def test_unsupported_quartic(self):
-        # x^4 + x + 1 is irreducible with non-real resolvent structure
+        # x^4 + x + 1: its resolvent cubic z^3 - 4z - 1 has no rational root,
+        # the one quartic the root finder still gives up on
         coeffs = [quad(1), quad(1), quad(0), quad(0), quad(1)]
-        with pytest.raises(UnsupportedFactorization):
+        with pytest.raises(UnsupportedFactorization,
+                           match="^resolvent cubic has no rational root$"):
             find_field_roots(coeffs)
+
+    def test_resolvent_root_that_is_not_a_square(self):
+        # 2x^4 + 4x + 1: the resolvent z^3 - 2z - 4 has the one rational root
+        # z = 2, not a square in Q(sqrt -3), so no root lies in the field
+        assert find_field_roots([1, 4, 0, 0, 2]) == ([], 4)
+
+    def test_biquadratic_split_by_a_nonzero_resolvent_root(self):
+        # T^2 + 1 does not split over Q(sqrt -2), but z = -2 does:
+        # x^4 + 1 = (x^2 + sqrt(-2) x - 1)(x^2 - sqrt(-2) x - 1), no root inside
+        assert find_field_roots([1, 0, 0, 0, 1], -2) == ([], 4)
+        # T^2 + 4 does not split over Q(sqrt -3), but z = 4 does:
+        # x^4 + 4 = (x^2 + 2x + 2)(x^2 - 2x + 2), roots +-1 +- i
+        assert find_field_roots([4, 0, 0, 0, 1]) == ([], 4)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from((-3, -1, -2, -7)), st.one_of(
+        st.tuples(st.integers(-9, 9), st.integers(-9, 9)).map(
+            lambda bc: [bc[1], 0, bc[0], 0, 1]),
+        st.lists(st.integers(-5, 5), min_size=4, max_size=4).map(
+            lambda c: [v.p for v in _mul([quad(c[0]), quad(c[1]), quad(1)],
+                                         [quad(c[2]), quad(c[3]), quad(1)])])))
+    def test_rational_quartic_matches_sympy(self, d, coeffs):
+        # x^4 + b x^2 + c, or a product of two x^2 + b x + c: every root in
+        # the field is found, and the rest are counted outside
+        sympy = pytest.importorskip("sympy")
+        x = sympy.Symbol("x")
+        poly = sympy.Poly([sympy.Rational(c.numerator, c.denominator)
+                           for c in reversed([Fraction(c) for c in coeffs])],
+                          x, extension=sympy.sqrt(d))
+        expected = Counter()
+        for factor, multiplicity in poly.factor_list()[1]:
+            if factor.degree() == 1:
+                a, b = factor.all_coeffs()
+                re, im = sympy.expand(-b / a).as_real_imag()
+                q = sympy.nsimplify(im / sympy.sqrt(-d))
+                expected[QuadNum(Fraction(int(re.p), int(re.q)),
+                                 Fraction(int(q.p), int(q.q)), d)] += multiplicity
+        roots, outside = find_field_roots(coeffs, d)
+        assert Counter(roots) == expected
+        assert outside == 4 - len(roots)
 
     def test_degree_bound(self):
         with pytest.raises(UnsupportedFactorization):

@@ -12,6 +12,8 @@ Subpackages:
 * cli        -- the `heiscurve` command-line tool
 """
 
+from types import ModuleType as _ModuleType
+
 from .covers import (
     GroupAxiomFailure,
     PointClass,
@@ -64,5 +66,7 @@ from .words import (
     lifts_to_heisenberg_cover,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the public classes, functions and S3_ENDOS; not the submodules
+__all__ = [name for name in dir() if not name.startswith("_")
+           and not isinstance(globals()[name], _ModuleType)]
 __version__ = "0.1.0"

@@ -17,8 +17,9 @@ from fractions import Fraction
 from itertools import product
 from math import gcd
 
-from .errors import HeiscurveError, _int_at_least
+from .errors import HeiscurveError, _int_at_least, _iterable
 from .heisenberg import HeisenbergElement
+from .words import S3_ENDOS, lifts_to_heisenberg_cover
 
 
 class NonIntegerGenus(ArithmeticError, HeiscurveError):
@@ -99,11 +100,6 @@ def heisenberg_genus(n):
 # Branch points of the Fermat curve over {0, 1, infinity} and their
 # stabilizers under the (Z/n)^2 action (X:Y:Z) -> (zeta^a X : zeta^b Y : Z).
 #
-# Coordinates of the relevant points are either 0 or powers of zeta^(1/2),
-# so a point is encoded by its exponent vector: None for a zero coordinate,
-# otherwise the exponent as a Fraction with denominator 1 or 2.  Projective
-# rescaling shifts all exponents by a common constant.
-#
 # A shift (a, b) changes the exponent differences of P_k by a, of Q_k by b
 # and of Q'_k by a - b, so each stabilizer is the cyclic group of order n
 # generated by the vector below, and every orbit has n^2 / n = n points.
@@ -126,15 +122,6 @@ class PointClass:
             raise ValueError("family must be one of %s, got %r"
                              % (FAMILIES, self.family))
         _int_at_least(self.k, 0, "k")
-
-    def exponents(self):
-        k = Fraction(self.k)
-        if self.family == "P":  # (zeta^k : 0 : 1)
-            return (k, None, Fraction(0))
-        if self.family == "Q":  # (0 : zeta^k : 1)
-            return (None, k, Fraction(0))
-        # (eps * zeta^k : 1 : 0) with eps^2 = zeta
-        return (k + Fraction(1, 2), Fraction(0), None)
 
 
 def is_fixed_by(point, a, b, n):
@@ -213,16 +200,16 @@ def cover_ramification(n):
 
 
 def modular_aut_order(n):
-    """Order of the modular automorphism group and a structure tag.
+    """Order |L| n^3 of the modular automorphism group and a structure tag.
 
-    The group is an extension of G_n by a central Z/n, where G_n is the
-    full Fermat automorphism group (Z/n)^2 x| S3 for odd n and only
-    (Z/n)^2 x| Z/2 for even n.
+    The group is an extension of (Z/n)^2 x| L by a central Z/n, where L is
+    the subgroup of S3 whose symmetries of {0, 1, oo} lift to the
+    Heisenberg cover, as lifts_to_heisenberg_cover decides on S3_ENDOS.
     """
     _int_at_least(n, 3)
-    if n % 2 == 1:
-        return n * 6 * n * n, "Z/n . ((Z/n)^2 x| S3)"
-    return n * 2 * n * n, "Z/n . ((Z/n)^2 x| Z/2)"
+    lifting = sum(lifts_to_heisenberg_cover(endo, n) for endo in S3_ENDOS.values())
+    return (lifting * n**3,
+            "Z/n . ((Z/n)^2 x| %s)" % ("S3" if lifting == 6 else "Z/2"))
 
 
 @dataclass(frozen=True)
@@ -260,14 +247,16 @@ def signature_consistency(n, signature, order, target, claim=""):
     else:
         raise ValueError("target must be 'fermat' or 'heisenberg', got %r"
                          % (target,))
+    _iterable(signature, "signature", "ints")
+    signature = tuple(signature)
     try:
-        computed = rh_genus(RamificationData(0, order, tuple(signature)))
+        computed = rh_genus(RamificationData(0, order, signature))
     except (NonIntegerGenus, ValueError):
         computed = None
     return Verdict(
         claim=claim or "signature %s, order %d vs g_%s(%d)" % (
-            tuple(signature), order, target, n),
-        signature=tuple(signature),
+            signature, order, target, n),
+        signature=signature,
         order=order,
         expected_genus=expected,
         computed_genus=computed,
@@ -354,26 +343,17 @@ def b4(n):
 # permutations of (X : Y : Z).  A symmetry is stored as the permutation
 # sending slot i of the new coordinate vector to old slot perm[i]; its
 # action on translation pairs (i, j) falls out of exponent arithmetic, and
-# the reported 2x2 matrix acts on *row* vectors (i, j).
+# the 2x2 matrix of symmetry_matrix acts on *row* vectors (i, j).
 # ---------------------------------------------------------------------------
 
+# each with the fractional-linear map it induces on the base line
 _S3_PERMS = {
-    "id": (0, 1, 2),
-    "swap_xy": (1, 0, 2),
-    "swap_xz": (2, 1, 0),
-    "swap_yz": (0, 2, 1),
-    "cycle_xyz": (1, 2, 0),
-    "cycle_xzy": (2, 0, 1),
-}
-
-# fractional-linear symbol of the induced map on the base line
-_S3_SYMBOLS = {
-    "id": "x",
-    "swap_xy": "1-x",
-    "swap_xz": "1/x",
-    "swap_yz": "x/(x-1)",
-    "cycle_xyz": "1/(1-x)",
-    "cycle_xzy": "(x-1)/x",
+    "id": (0, 1, 2),  # x
+    "swap_xy": (1, 0, 2),  # 1 - x
+    "swap_xz": (2, 1, 0),  # 1/x
+    "swap_yz": (0, 2, 1),  # x/(x - 1)
+    "cycle_xyz": (1, 2, 0),  # 1/(1 - x)
+    "cycle_xzy": (2, 0, 1),  # (x - 1)/x
 }
 
 _PERM_NAMES = {perm: name for name, perm in _S3_PERMS.items()}
@@ -416,13 +396,6 @@ class FermatAutGroup:
     def order(self):
         return 6 * self.n * self.n
 
-    def elements(self):
-        return [
-            ((i, j), perm)
-            for i, j in product(range(self.n), repeat=2)
-            for perm in _S3_PERMS.values()
-        ]
-
     def identity(self):
         return ((0, 0), _S3_PERMS["id"])
 
@@ -439,13 +412,6 @@ class FermatAutGroup:
         s_inv = tuple(s.index(i) for i in range(3))
         back = symmetry_action(s_inv, t, self.n)
         return ((-back[0] % self.n, -back[1] % self.n), s_inv)
-
-    def conjugation_report(self):
-        """Per-symmetry fractional-linear symbol and row-vector matrix."""
-        return {
-            name: {"symbol": _S3_SYMBOLS[name], "matrix": symmetry_matrix(name, self.n)}
-            for name in _S3_PERMS
-        }
 
     def verify_axioms(self):
         """Verify that multiply, identity and inverse define a group.

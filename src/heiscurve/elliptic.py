@@ -29,7 +29,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import lcm
 
-from .errors import HeiscurveError
+from .errors import HeiscurveError, _iterable
 from .quadfield import (
     DEFAULT_D,
     FieldMismatch,
@@ -335,6 +335,9 @@ def three_torsion(curve):
 def _velu3(curve, p):
     """(codomain, t, u) of the 3-isogeny with kernel {O, P, -P}, where
     u = 4 y0^2 and w = u + x0 t."""
+    if p.curve is not curve and p.curve != curve:
+        raise BadKernelPoint("the kernel generator %s lies on %s, not on %s"
+                             % (p, p.curve, curve))
     if p.at_infinity:
         raise BadKernelPoint("kernel generator must be affine")
     if not _psi3_vanishes(curve, p.x):
@@ -451,6 +454,7 @@ class Cubic:
     coeffs: tuple  # sorted tuple of ((i, j, k), Fraction)
 
     def __post_init__(self):
+        _iterable(self.coeffs, "coeffs", "(monomial, coefficient) pairs")
         cleaned = {}
         for term in self.coeffs:
             try:

@@ -33,7 +33,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, isqrt, lcm
 
-from .errors import HeiscurveError, _int_at_least
+from .errors import HeiscurveError, _int_at_least, _iterable
 
 DEFAULT_D = -3
 
@@ -357,6 +357,7 @@ def zeta3(d=DEFAULT_D):
 # ---------------------------------------------------------------------------
 
 def poly_normalize(coeffs, d=DEFAULT_D):
+    _iterable(coeffs, "coeffs", "field elements")
     out = [QuadNum.of(c, d) for c in coeffs]
     while out and out[-1].is_zero():
         out.pop()

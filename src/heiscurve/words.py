@@ -24,7 +24,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .errors import _int_at_least
+from .errors import _int_at_least, _iterable
 from .heisenberg import HeisenbergElement
 
 _TOKEN = re.compile(r"([abAB])(?:\^(-?\d+))?")
@@ -108,6 +108,7 @@ class Word:
     syllables: tuple = ()
 
     def __post_init__(self):
+        _iterable(self.syllables, "syllables", "(generator, exponent) pairs")
         object.__setattr__(self, "syllables", _reduce(self.syllables))
 
     @classmethod
@@ -218,6 +219,12 @@ class Endo:
 
     image_of_a: Word
     image_of_b: Word
+
+    def __post_init__(self):
+        for gen, image in (("a", self.image_of_a), ("b", self.image_of_b)):
+            if not isinstance(image, Word):
+                raise TypeError("the image of %s must be a Word, got %r"
+                                % (gen, image))
 
     def apply(self, word):
         """Concatenate the reduced image of each syllable, then reduce once.

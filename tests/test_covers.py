@@ -1,7 +1,7 @@
 import json
 import re
 from fractions import Fraction
-from itertools import product
+from itertools import permutations, product
 
 import pytest
 
@@ -126,8 +126,23 @@ class TestGenusFormulas:
 
 
 # Oracle: shift the point's exponent vector by every (a, b) in (Z/n)^2 and
-# compare the results up to projective rescaling.  Exponents are doubled to
-# integers mod 2n, since they are multiples of 1/2.
+# compare the results up to projective rescaling.
+#
+# Coordinates of the relevant points are either 0 or powers of zeta^(1/2),
+# so a point is encoded by its exponent vector: None for a zero coordinate,
+# otherwise the exponent as a Fraction with denominator 1 or 2.  Projective
+# rescaling shifts all exponents by a common constant.  The scan doubles
+# the exponents to integers mod 2n.
+
+def exponents(point):
+    k = Fraction(point.k)
+    if point.family == "P":  # (zeta^k : 0 : 1)
+        return (k, None, Fraction(0))
+    if point.family == "Q":  # (0 : zeta^k : 1)
+        return (None, k, Fraction(0))
+    # (eps * zeta^k : 1 : 0) with eps^2 = zeta
+    return (k + Fraction(1, 2), Fraction(0), None)
+
 
 def normalize_exponents(exps, modulus):
     pivot = next(e for e in exps if e is not None)
@@ -136,7 +151,7 @@ def normalize_exponents(exps, modulus):
 
 def stabilizer_and_orbit_scan(point, n):
     """(stabilizer as a set of shifts, orbit size)."""
-    exps = tuple(None if e is None else int(2 * e) for e in point.exponents())
+    exps = tuple(None if e is None else int(2 * e) for e in exponents(point))
     images = {
         (a, b): normalize_exponents(
             tuple(None if e is None else e + s
@@ -284,6 +299,15 @@ class TestModularAutOrder:
         assert value == order
         assert "S3" in tag if n % 2 else "Z/2" in tag
 
+    def test_matches_the_parity_formula(self):
+        """Oracle: all of S3 lifts for odd n, a Z/2 for even n."""
+        for n in range(3, 201):
+            if n % 2 == 1:
+                expected = (6 * n**3, "Z/n . ((Z/n)^2 x| S3)")
+            else:
+                expected = (2 * n**3, "Z/n . ((Z/n)^2 x| Z/2)")
+            assert modular_aut_order(n) == expected, n
+
     @pytest.mark.parametrize("n", (3.5, 4.0, True, Fraction(5)))
     def test_non_int_n_rejected(self, n):
         for fn in (modular_aut_order, cover_ramification):
@@ -383,10 +407,17 @@ class TestBounds:
                 bound(n)
 
 
+def group_elements(group):
+    """Every ((i, j), perm) with (i, j) in (Z/n)^2 and perm in S3."""
+    return [((i, j), perm)
+            for i, j in product(range(group.n), repeat=2)
+            for perm in permutations(range(3))]
+
+
 def exhaustive_axiom_check(group):
     """Oracle: closure, identity, inverses and associativity over the whole
     multiplication table, |G|^3 lookups.  Raises AssertionError."""
-    elems = group.elements()
+    elems = group_elements(group)
     if len(set(elems)) != group.order:
         raise AssertionError("element list has duplicates")
     index = {g: i for i, g in enumerate(elems)}
@@ -475,18 +506,16 @@ class TestFermatAutGroup:
 
     def test_conjugation_matrices(self):
         n = 5
-        group = build_fermat_aut(n, verify=False)
-        report = group.conjugation_report()
-        assert report["swap_xz"]["matrix"] == ((n - 1, n - 1), (0, 1))
-        assert report["swap_xy"]["matrix"] == ((0, 1), (1, 0))
-        assert report["swap_xy"]["symbol"] == "1-x"
+        assert symmetry_matrix("swap_xz", n) == ((n - 1, n - 1), (0, 1))
+        assert symmetry_matrix("swap_xy", n) == ((0, 1), (1, 0))
 
     def test_translations_form_normal_abelian_part(self):
         group = FermatAutGroup(3)
         id_perm = (0, 1, 2)
-        translations = [g for g in group.elements() if g[1] == id_perm]
+        elements = group_elements(group)
+        translations = [g for g in elements if g[1] == id_perm]
         assert len(translations) == 9
-        for g in group.elements():
+        for g in elements:
             for t in translations:
                 conj = group.multiply(group.multiply(g, t), group.inverse(g))
                 assert conj[1] == id_perm

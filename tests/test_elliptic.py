@@ -1096,6 +1096,26 @@ class TestVelu3:
         with pytest.raises(PointNotOnCurve):
             velu3_map(BASE, kernel_gen, other)
 
+    def test_kernel_point_of_another_curve_is_rejected(self):
+        # x = 0 is a root of psi_3 on both curves, so only the curve check
+        # keeps y = 2 from giving y^2 = x^3 - 111 instead of x^3 - 27
+        domain, other = Curve.of(0, 1), Curve.of(0, 4)
+        message = (r"^the kernel generator \(0 : 2 : 1\) lies on "
+                   r"y\^2 = x\^3 \+ \(4\), not on y\^2 = x\^3 \+ \(1\)$")
+        with pytest.raises(BadKernelPoint, match=message):
+            velu3(domain, other.point(0, 2))
+        with pytest.raises(BadKernelPoint, match=message):
+            velu3_map(domain, other.point(0, 2), domain.point(2, 3))
+
+    def test_kernel_point_of_an_equal_curve_is_accepted(self):
+        domain, twin = Curve.of(0, 1), Curve.of(0, 1)
+        assert twin is not domain
+        kernel_gen = twin.point(0, 1)
+        assert velu3(domain, kernel_gen) == Curve.of(0, -27)
+        assert velu3_map(domain, kernel_gen, domain.point(0, -1)).at_infinity
+        image = velu3_map(domain, kernel_gen, domain.point(2, 3))
+        assert image.curve == Curve.of(0, -27)
+
     def test_map_checks_the_kernel_once(self, monkeypatch):
         calls = []
         real = elliptic._psi3_parts

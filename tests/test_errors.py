@@ -9,10 +9,11 @@ from fractions import Fraction
 
 import pytest
 
+import heiscurve
 from heiscurve import covers, heisenberg, words
 from heiscurve.elliptic import Cubic
 from heiscurve.heisenberg import HeisenbergElement, enumerate_group
-from heiscurve.quadfield import QuadNum
+from heiscurve.quadfield import QuadNum, find_field_roots
 
 POINT = covers.PointClass("P", 1)
 
@@ -148,17 +149,34 @@ def test_every_n_argument_has_a_contract_row():
     assert missing == []
 
 
-# (call, the value its message must name): near-miss shapes that Python's
-# own unpacking message would not name
+# (id, call, the value its message must name): near-miss shapes that
+# Python's own unpacking message would not name, outer arguments that are
+# not iterable, and Endo images that are not Words
 SHAPES = [
-    (lambda: Cubic(((3, 0, 0),)), (3, 0, 0)),
-    (lambda: covers.RamificationData(0, 6, 2), 2),
-    (lambda: words.Word(("a", 1)), "a"),
+    ("Cubic", lambda: Cubic(((3, 0, 0),)), (3, 0, 0)),
+    ("RamificationData", lambda: covers.RamificationData(0, 6, 2), 2),
+    ("Word", lambda: words.Word(("a", 1)), "a"),
+    ("Word.syllables", lambda: words.Word(5), 5),
+    ("Cubic.coeffs", lambda: Cubic(5), 5),
+    ("find_field_roots", lambda: find_field_roots(5), 5),
+    ("signature_consistency",
+     lambda: covers.signature_consistency(4, 5, 24, "fermat"), 5),
+    ("Endo.image_of_a", lambda: words.Endo(5, 6), 5),
+    ("Endo.image_of_b", lambda: words.Endo(words.A, 6), 6),
 ]
 
 
-@pytest.mark.parametrize("call, value", SHAPES, ids=["Cubic", "RamificationData", "Word"])
+@pytest.mark.parametrize("call, value", [row[1:] for row in SHAPES],
+                         ids=[row[0] for row in SHAPES])
 def test_wrong_shape_is_rejected_naming_the_value(call, value):
-    with pytest.raises((TypeError, ValueError)) as info:
+    with pytest.raises(TypeError) as info:
         call()
+    assert type(info.value) is TypeError
     assert str(info.value).endswith("got %r" % (value,))
+
+
+def test_all_exports_classes_functions_and_s3_endos():
+    for name in heiscurve.__all__:
+        obj = getattr(heiscurve, name)
+        assert (inspect.isclass(obj) or inspect.isfunction(obj)
+                or name == "S3_ENDOS"), name
